@@ -29,7 +29,6 @@ from .groebner import (
     CosetTable,
     GroebnerBasis,
     TermOrder,
-    compare,
     decode,
     normal_form,
     reduced_groebner_basis,
@@ -70,7 +69,7 @@ __all__ = [
     "MonomialIdeal", "SearchReport", "SimplicialComplexView", "TermOrder",
     "TheoremViolation", "TooFewGenerators", "VerificationReport",
     "WitnessPair", "ZeroCode", "all_priority_orders", "betti_table_hochster",
-    "compare", "counterexample_search", "d2_from_testset", "decode",
+    "counterexample_search", "d2_from_testset", "decode",
     "ghw_bruteforce", "ghw_hierarchy", "ghw_via_resolution",
     "ideal_from_supports", "kernel_basis", "matroid_circuits",
     "min_shift_sequence", "min_shifts", "minimal_support_codewords",

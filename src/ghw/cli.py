@@ -9,6 +9,7 @@ document (stable key order) to stdout or --output.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -49,12 +50,40 @@ def _add_order_flags(p: argparse.ArgumentParser) -> None:
                         "(default: 1,2,...,n)")
 
 
+# Primality is checked by trial division, which stays instant below this.
+_MAX_FIELD_CHAR = 1 << 31
+
+
+def _field_char(text: str) -> int:
+    try:
+        p = int(text)
+    except ValueError:
+        p = 0
+    if not 2 <= p < _MAX_FIELD_CHAR or any(
+            p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise argparse.ArgumentTypeError(
+            f"must be a prime below 2^31, got {text!r}")
+    return p
+
+
+def _threads(text: str) -> int:
+    try:
+        t = int(text)
+    except ValueError:
+        t = 0
+    if t < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}")
+    return t
+
+
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field-char", type=int, default=2,
+    p.add_argument("--field-char", type=_field_char, default=2,
                    help="homology coefficient characteristic (default 2; "
                         "only 2 is exercised by the acceptance suite)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the Betti sweeps (default 1)")
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker processes for the Betti sweeps (default 1; "
+                        "at most the CPU count are started)")
     p.add_argument("-o", "--output", default=None,
                    help="write the result document here instead of stdout")
 

@@ -7,19 +7,26 @@ import os
 DEFAULT_SIZE_CAP = 24
 
 # Environment override for experimentation only; anything above 24 is
-# unsupported and can exhaust memory (every kernel enumerates 2^n states).
+# unsupported and can exhaust memory (the oracle and Betti kernels
+# enumerate 2^n states).
 SIZE_CAP_ENV = "GHW_SIZE_CAP"
 
 
 def size_cap() -> int:
-    """Current length cap (default 24, overridable via GHW_SIZE_CAP)."""
+    """Current length cap (default 24, overridable via GHW_SIZE_CAP).
+
+    A value that is not a positive integer raises GhwError.
+    """
     raw = os.environ.get(SIZE_CAP_ENV)
     if raw is None:
         return DEFAULT_SIZE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return DEFAULT_SIZE_CAP
+        cap = 0
+    if cap < 1:
+        raise GhwError(f"{SIZE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
 class GhwError(Exception):

@@ -2,12 +2,16 @@
 
 The code ideal is generated by X^w - 1 for generator rows w together with
 the quadrics x_i^2 - 1.  Under any degree-compatible order all monomials
-reduce to square-free ones, so the whole computation happens on the 2^n
-exponent masks: enumerate them in increasing order, record one leader per
-syndrome, and emit a binomial whenever a mask lands in an occupied coset.
-The emitted square-free binomials plus the surviving quadrics form the
-reduced basis; lead XOR trail of each binomial is a codeword of minimal
-support, and the deduplicated set of those codewords is the test set.
+reduce to square-free ones, so the computation happens on square-free
+exponent masks.  It never visits all 2^n of them: it grows the standard
+monomials (the coset leaders) weight by weight, looking only at masks one
+bit above a leader, at most n * 2^(n-k) of them.  Such a mask whose every
+one-bit-smaller submask is a leader either claims a fresh syndrome (it
+becomes that coset's leader) or lands in an occupied coset (emit a
+binomial).  The emitted square-free binomials plus the surviving quadrics
+form the reduced basis; lead XOR trail of each binomial is a codeword of
+minimal support, and the deduplicated set of those codewords is the test
+set.
 """
 
 from __future__ import annotations
@@ -76,10 +80,6 @@ class TermOrder:
     def describe(self) -> str:
         vars_1based = ",".join(str(i + 1) for i in self.priority)
         return f"{self.kind} vars={vars_1based}"
-
-
-def compare(order: TermOrder, a: int, b: int) -> int:
-    return order.compare(a, b)
 
 
 @dataclass(frozen=True)
@@ -155,47 +155,54 @@ class CosetTable:
 def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, CosetTable]:
     """Compute the reduced Groebner basis and coset-leader table.
 
-    Every square-free mask is visited in increasing order.  A mask
-    divisible by a recorded lead is skipped; otherwise its syndrome
-    either claims a fresh coset (the mask becomes that coset's leader)
-    or hits an occupied one (emit lead-minus-leader and record the lead).
+    Masks are visited weight by weight, each weight in increasing order.
+    The candidates of weight w+1 are the masks whose w one-bit-smaller
+    submasks are all leaders; that is exactly "divisible by no lead",
+    since every proper submask precedes the mask in a degree-compatible
+    order.  A candidate's syndrome either claims a fresh coset (the mask
+    becomes that coset's leader) or hits an occupied one (emit
+    lead-minus-leader).  A weight that adds no leader ends the scan: every
+    lead sits one bit above leaders, so its degree is at most the covering
+    radius plus one.
     """
     if order.n != c.n:
         raise ValueError(f"order on {order.n} variables, code length {c.n}")
     cap = size_cap()
-    if c.n > cap or c.n - c.k > cap:
-        raise CapExceeded(f"2^{c.n} enumeration exceeds cap {cap}")
+    if c.n > cap:
+        raise CapExceeded(f"length {c.n} exceeds cap {cap}")
 
     parity_rows = c.parity.rows
-    nparity = len(parity_rows)
+    columns = [c.parity.column(j) for j in range(c.n)]
 
-    key = order.sort_key
-    masks = sorted(range(1 << c.n), key=key)
-
-    leaders: dict[int, int] = {}
-    leads: list[int] = []
+    leaders: dict[int, int] = {0: 0}
     binomials: list[Binomial] = []
     violations: list[Binomial] = []
-    for a in masks:
-        reducible = False
-        for lead in leads:
-            if lead & a == lead:
-                reducible = True
-                break
-        if reducible:
-            continue
-        s = 0
-        for i in range(nparity):
-            s |= ((parity_rows[i] & a).bit_count() & 1) << i
-        b = leaders.get(s)
-        if b is None:
-            leaders[s] = a
-        else:
-            binom = Binomial(a, b)
-            binomials.append(binom)
-            leads.append(a)
-            if not binom.in_standard_form():
-                violations.append(binom)
+    frontier = [(0, 0)]  # (leader, syndrome) pairs of the current weight
+    weight = 0
+    while frontier:
+        weight += 1
+        hits: dict[int, int] = {}  # candidate -> number of leader submasks
+        syndromes: dict[int, int] = {}
+        for s, syn in frontier:
+            for j, col in enumerate(columns):
+                a = s | (1 << j)
+                if a == s:
+                    continue
+                hits[a] = hits.get(a, 0) + 1
+                syndromes[a] = syn ^ col
+        frontier = []
+        for a in sorted((a for a, h in hits.items() if h == weight),
+                        key=order.sort_key):
+            syn = syndromes[a]
+            b = leaders.get(syn)
+            if b is None:
+                leaders[syn] = a
+                frontier.append((a, syn))
+            else:
+                binom = Binomial(a, b)
+                binomials.append(binom)
+                if not binom.in_standard_form():
+                    violations.append(binom)
 
     if len(leaders) != 1 << (c.n - c.k):
         raise TheoremViolation(

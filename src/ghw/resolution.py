@@ -14,6 +14,7 @@ small ambients need that path).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -316,9 +317,11 @@ def betti_table_hochster(ideal: MonomialIdeal, char: int = 2,
 
     char selects the coefficient field (2 uses the packed kernel; odd
     characteristics are exposed for cross-checks at small n).  processes
-    splits the vertex-set sweep into contiguous chunks merged by
-    summation, which cannot change the result.  audit re-verifies the
-    Euler characteristic of every restricted complex touched.
+    caps the worker processes: the vertex-set sweep is split into
+    min(processes, CPU count, 2^n - 1) contiguous chunks, one per worker,
+    merged by summation, which cannot change the result.  audit
+    re-verifies the Euler characteristic of every restricted complex
+    touched.
     """
     n = ideal.n
     if n > size_cap():
@@ -326,16 +329,17 @@ def betti_table_hochster(ideal: MonomialIdeal, char: int = 2,
     table: dict[tuple[int, int], int] = {}
     if 0 not in ideal.gens:
         table[(0, 0)] = 1  # W = empty set: homology of {empty face} in degree -1
-    if processes <= 1:
+    workers = min(processes, os.cpu_count() or 1, (1 << n) - 1)
+    if workers <= 1:
         part = _sweep_chunk(n, ideal.gens, char, 1, 1 << n, audit)
         for key, val in part.items():
             table[key] = table.get(key, 0) + val
         return BettiTable(table)
-    bounds = [1 + (((1 << n) - 1) * t) // processes for t in range(processes + 1)]
-    with ProcessPoolExecutor(max_workers=processes) as pool:
+    bounds = [1 + (((1 << n) - 1) * t) // workers for t in range(workers + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
             pool.submit(_sweep_chunk, n, ideal.gens, char, lo, hi, audit)
-            for lo, hi in zip(bounds, bounds[1:]) if lo < hi
+            for lo, hi in zip(bounds, bounds[1:])
         ]
         for fut in futures:
             for key, val in fut.result().items():

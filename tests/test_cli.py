@@ -255,6 +255,34 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert rc == 1
 
 
+@pytest.mark.parametrize("value", ["0", "1", "4", "9", "-3"])
+def test_cli_rejects_non_prime_field_char(capsys, value):
+    rc, out, err = run_cli(capsys, "betti", REP31, f"--field-char={value}")
+    assert rc == 1
+    assert out == ""
+    assert "--field-char" in err and "prime" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "many"])
+def test_cli_rejects_threads_below_one(capsys, value):
+    rc, out, err = run_cli(capsys, "betti", REP31, f"--threads={value}")
+    assert rc == 1
+    assert out == ""
+    assert "--threads" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_cli_rejects_bad_size_cap(capsys, monkeypatch, value):
+    monkeypatch.setenv("GHW_SIZE_CAP", value)
+    rc, out, err = run_cli(capsys, "gb", REP31)
+    assert rc == 1
+    assert out == ""
+    assert "GHW_SIZE_CAP" in err
+    assert "Traceback" not in err
+
+
 def test_size_cap_env_override(monkeypatch):
     wide = BinaryMatrix((1,), 25)
     with pytest.raises(Exception):

@@ -2,11 +2,14 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghw import (
+    BinaryMatrix,
     CapExceeded,
+    Code,
     TermOrder,
-    compare,
     decode,
     ghw_bruteforce,
     minimal_support_codewords,
@@ -15,7 +18,7 @@ from ghw import (
     word_from_string,
     word_to_string,
 )
-from ghw.groebner import EQUAL, GREATER, LESS
+from ghw.groebner import EQUAL, GREATER, LESS, Binomial, GroebnerBasis
 from ghw.groebner import test_set as extract_testset
 
 import known_codes as kc
@@ -27,9 +30,41 @@ def coset_of(code, word):
     return [word ^ c for c in code.codewords()]
 
 
+def reference_groebner_basis(code, order):
+    """Full-space enumeration: every one of the 2^n masks in increasing
+    order, each checked against every lead found so far.  The oracle for
+    the bounded enumeration of reduced_groebner_basis."""
+    leaders = {}
+    leads = []
+    binomials = []
+    violations = []
+    for a in sorted(range(1 << code.n), key=order.sort_key):
+        if any(lead & a == lead for lead in leads):
+            continue
+        s = code.parity.mul_word(a)
+        b = leaders.get(s)
+        if b is None:
+            leaders[s] = a
+        else:
+            binom = Binomial(a, b)
+            binomials.append(binom)
+            leads.append(a)
+            if not binom.in_standard_form():
+                violations.append(binom)
+    return GroebnerBasis(order, code.n, tuple(binomials), tuple(violations)), leaders
+
+
+def assert_matches_reference(code, order):
+    basis, table = reduced_groebner_basis(code, order)
+    ref_basis, ref_leaders = reference_groebner_basis(code, order)
+    assert basis == ref_basis
+    assert table.parity_rows == code.parity.rows
+    assert list(table.leaders.items()) == list(ref_leaders.items())
+
+
 def test_compare_equal():
     o = TermOrder.default(4)
-    assert compare(o, 0b1010, 0b1010) == EQUAL
+    assert o.compare(0b1010, 0b1010) == EQUAL
 
 
 def test_compare_degrevlex_low_variable_wins_small():
@@ -38,8 +73,8 @@ def test_compare_degrevlex_low_variable_wins_small():
     o = TermOrder.default(6, "degrevlex")
     x5x6 = word_from_string("000011")
     x2x3 = word_from_string("011000")
-    assert compare(o, x5x6, x2x3) == LESS
-    assert compare(o, x2x3, x5x6) == GREATER
+    assert o.compare(x5x6, x2x3) == LESS
+    assert o.compare(x2x3, x5x6) == GREATER
 
 
 def test_compare_kinds_disagree():
@@ -47,8 +82,8 @@ def test_compare_kinds_disagree():
     degrevlex = TermOrder.default(4, "degrevlex")
     x1x4 = word_from_string("1001")
     x2x3 = word_from_string("0110")
-    assert compare(deglex, x1x4, x2x3) == GREATER
-    assert compare(degrevlex, x1x4, x2x3) == LESS
+    assert deglex.compare(x1x4, x2x3) == GREATER
+    assert degrevlex.compare(x1x4, x2x3) == LESS
 
 
 def test_compare_is_a_degree_compatible_total_order():
@@ -62,7 +97,7 @@ def test_compare_is_a_degree_compatible_total_order():
     ]
     for o in orders:
         for a, b in product(masks, repeat=2):
-            c_ab, c_ba = compare(o, a, b), compare(o, b, a)
+            c_ab, c_ba = o.compare(a, b), o.compare(b, a)
             assert c_ab == -c_ba
             assert (c_ab == EQUAL) == (a == b)
             if a.bit_count() < b.bit_count():
@@ -206,3 +241,52 @@ def test_groebner_cap(monkeypatch, toy63):
     monkeypatch.setenv("GHW_SIZE_CAP", "4")
     with pytest.raises(CapExceeded):
         reduced_groebner_basis(toy63, TermOrder.default(6))
+
+
+def _random_order(rng, n):
+    return TermOrder(rng.choice(("deglex", "degrevlex")), tuple(rng.sample(range(n), n)))
+
+
+def test_bounded_enumeration_matches_reference_random_codes():
+    rng = random.Random(47)
+    for _ in range(120):
+        n = rng.randint(1, 11)
+        code = random_code(rng, n, rng.randint(1, n))
+        assert_matches_reference(code, _random_order(rng, n))
+
+
+def test_bounded_enumeration_matches_reference_special_codes(toy63, worked63, code107):
+    special = [
+        toy63, worked63, code107,
+        make_code(["1100", "0110"]),                     # degenerate: x4 unused
+        make_code(["001", "000"]),                       # degenerate, k = 1
+        make_code(["100", "010", "001"]),                # k = n
+        make_code(["1"]),                                # n = 1, k = n
+        make_code(["100000", "011100", "000011"]),       # weight-1 codeword
+        make_code(["0100000", "0010000", "1001111"]),    # two weight-1 codewords
+        make_code(["111111111"]),                        # repetition
+    ]
+    rng = random.Random(53)
+    for code in special:
+        for kind in ("deglex", "degrevlex"):
+            assert_matches_reference(code, TermOrder.default(code.n, kind))
+            assert_matches_reference(
+                code, TermOrder(kind, tuple(rng.sample(range(code.n), code.n))))
+
+
+@st.composite
+def codes_and_orders(draw):
+    n = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
+    if not any(rows):
+        rows[0] = 1
+    kind = draw(st.sampled_from(("deglex", "degrevlex")))
+    priority = draw(st.permutations(range(n)))
+    code = Code.from_generator(BinaryMatrix(tuple(rows), n))
+    return code, TermOrder(kind, tuple(priority))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_and_orders())
+def test_bounded_enumeration_matches_reference_property(case):
+    assert_matches_reference(*case)

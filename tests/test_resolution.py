@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import Future
 from itertools import combinations
 
 import pytest
@@ -211,6 +212,60 @@ def test_betti_audit_and_processes_agree(toy63):
     base = betti_table_hochster(ideal)
     assert betti_table_hochster(ideal, audit=True).entries == base.entries
     assert betti_table_hochster(ideal, processes=2).entries == base.entries
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and runs each
+    submitted chunk in this process, so no worker is ever started."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.submitted = 0
+        RecordingPool.created.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_betti_processes_clamped_to_cpus_and_chunks(toy63, monkeypatch):
+    import ghw.resolution as res
+
+    monkeypatch.setattr(res, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    ideal = ideal_from_supports(6, minimal_support_codewords(toy63))
+    base = betti_table_hochster(ideal)
+
+    monkeypatch.setattr(res.os, "cpu_count", lambda: 2)
+    assert betti_table_hochster(ideal, processes=5000).entries == base.entries
+    pool, = RecordingPool.created
+    assert (pool.max_workers, pool.submitted) == (2, 2)
+
+    # more CPUs than vertex sets: one worker per nonempty subset of 2 vertices
+    RecordingPool.created.clear()
+    monkeypatch.setattr(res.os, "cpu_count", lambda: 64)
+    small = ideal_from_supports(2, [mask(1, 2)])
+    assert betti_table_hochster(small, processes=5000).entries == \
+        betti_table_hochster(small).entries
+    pool, = RecordingPool.created
+    assert (pool.max_workers, pool.submitted) == (3, 3)
+
+    # one CPU, or an unknown count: the serial path, no pool at all
+    RecordingPool.created.clear()
+    for cpus in (1, None):
+        monkeypatch.setattr(res.os, "cpu_count", lambda: cpus)
+        assert betti_table_hochster(ideal, processes=5000).entries == base.entries
+    assert RecordingPool.created == []
 
 
 def test_betti_euler_consistency_per_restriction():
