@@ -50,9 +50,9 @@ from .analysis import (
 from .resolution import (
     BettiTable,
     MonomialIdeal,
-    SimplicialComplexView,
     betti_table_hochster,
     ideal_from_supports,
+    min_pair_union,
     min_shift_sequence,
     min_shifts,
     reduced_homology_dims,
@@ -66,16 +66,15 @@ __all__ = [
     "BinaryMatrix", "Binomial", "BettiTable", "CapExceeded", "Code",
     "CosetTable", "DimensionTooSmall", "EmptyAmbient", "GhwError",
     "GhwSequence", "GroebnerBasis", "LengthCapExceeded", "MatrixParseError",
-    "MonomialIdeal", "SearchReport", "SimplicialComplexView", "TermOrder",
-    "TheoremViolation", "TooFewGenerators", "VerificationReport",
-    "WitnessPair", "ZeroCode", "all_priority_orders", "betti_table_hochster",
-    "counterexample_search", "d2_from_testset", "decode",
-    "ghw_bruteforce", "ghw_hierarchy", "ghw_via_resolution",
-    "ideal_from_supports", "kernel_basis", "matroid_circuits",
-    "min_shift_sequence", "min_shifts", "minimal_support_codewords",
-    "normal_form", "rank_of_columns", "reduced_groebner_basis",
-    "reduced_homology_dims", "restricted_faces", "rref", "sample_orders",
-    "second_weight_witness", "subcode_dim_within", "taylor_pair_minimum",
-    "test_set", "union_testsets", "verify_code", "word_from_string",
-    "word_to_string",
+    "MonomialIdeal", "SearchReport", "TermOrder", "TheoremViolation",
+    "TooFewGenerators", "VerificationReport", "WitnessPair", "ZeroCode",
+    "all_priority_orders", "betti_table_hochster", "counterexample_search",
+    "d2_from_testset", "decode", "ghw_bruteforce", "ghw_hierarchy",
+    "ghw_via_resolution", "ideal_from_supports", "kernel_basis",
+    "matroid_circuits", "min_pair_union", "min_shift_sequence", "min_shifts",
+    "minimal_support_codewords", "normal_form", "rank_of_columns",
+    "reduced_groebner_basis", "reduced_homology_dims", "restricted_faces",
+    "rref", "sample_orders", "second_weight_witness", "subcode_dim_within",
+    "taylor_pair_minimum", "test_set", "union_testsets", "verify_code",
+    "word_from_string", "word_to_string",
 ]

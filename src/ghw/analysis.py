@@ -14,14 +14,15 @@ import random
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .codes import Code, GhwSequence, ghw_bruteforce, ghw_hierarchy, minimal_support_codewords
-from .errors import DimensionTooSmall, TheoremViolation, TooFewGenerators, ZeroCode
+from .codes import Code, GhwSequence, ghw_hierarchy, minimal_support_codewords
+from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, word_to_string
 from .groebner import TermOrder, reduced_groebner_basis, test_set
 from .resolution import (
     MonomialIdeal,
     betti_table_hochster,
     ideal_from_supports,
+    min_pair_union,
     min_shifts,
 )
 
@@ -65,22 +66,23 @@ class WitnessPair:
 def second_weight_witness(c: Code, o: TermOrder) -> WitnessPair:
     """Select the witness pair by order-minimality.
 
-    d_2 comes from the oracle; the candidate set holds every codeword
+    d_2 is the smallest pair union of nonzero codewords, since over GF(2)
+    span{a, b} has support a | b; the candidate set holds every codeword
     that appears in some two-dimensional subcode of support size d_2.
     Codewords are compared through their support monomials, which is a
     total order because distinct binary words have distinct supports.
     """
     if c.k < 2:
         raise DimensionTooSmall("second weight needs k >= 2")
-    d2 = ghw_bruteforce(c, 2)
     words = sorted(w for w in c.codewords() if w)
+    d2 = min_pair_union(words)
+    light = [w for w in words if w.bit_count() <= d2]  # |a|, |b| <= |a | b|
     pool = set()
-    for a in range(len(words)):
-        wa = words[a]
-        for b in range(a + 1, len(words)):
-            if (wa | words[b]).bit_count() == d2:
-                pool.add(wa)
-                pool.add(words[b])
+    for i, a in enumerate(light):
+        for b in light[i + 1:]:
+            if (a | b).bit_count() == d2:
+                pool.add(a)
+                pool.add(b)
     m1 = o.min_word(pool)
     partners = [w for w in pool if w != m1 and (m1 | w).bit_count() == d2]
     m2 = o.min_word(partners)
@@ -90,11 +92,7 @@ def second_weight_witness(c: Code, o: TermOrder) -> WitnessPair:
 def d2_from_testset(c: Code, o: TermOrder) -> int:
     """d_2 as the smallest support-union size over test-set pairs."""
     basis, _ = reduced_groebner_basis(c, o)
-    words = test_set(basis, c)
-    if len(words) < 2:
-        raise TooFewGenerators("test set has fewer than two codewords")
-    return min((a | b).bit_count()
-               for i, a in enumerate(words) for b in words[i + 1:])
+    return min_pair_union(test_set(basis, c))
 
 
 def symmetric_difference_triple(a: int, b: int) -> tuple[bool, bool, bool]:
@@ -218,9 +216,7 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
         checks["witness_intersection_bound"] = (
             2 * (pair.m1 & pair.m2).bit_count() <= pair.m1.bit_count()
             <= pair.m2.bit_count())
-        pair_min = min((a | b).bit_count()
-                       for i, a in enumerate(words) for b in words[i + 1:])
-        checks["d2_from_pairs"] = pair_min == d[1]
+        checks["d2_from_pairs"] = min_pair_union(words) == d[1]
 
     checks["pd_testset_at_most_k"] = pd_ts <= c.k
     checks["shifts_bound_ghw"] = all(

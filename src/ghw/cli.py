@@ -9,7 +9,6 @@ document (stable key order) to stdout or --output.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -23,7 +22,7 @@ from .analysis import (
     verify_code,
 )
 from .codes import Code, ghw_hierarchy, minimal_support_codewords
-from .errors import CapExceeded, GhwError, TheoremViolation
+from .errors import CapExceeded, GhwError, TheoremViolation, size_cap
 from .gf2 import word_from_string, word_to_string
 from .groebner import TermOrder, decode, reduced_groebner_basis, test_set
 from .io import (
@@ -50,42 +49,29 @@ def _add_order_flags(p: argparse.ArgumentParser) -> None:
                         "(default: 1,2,...,n)")
 
 
-# Primality is checked by trial division, which stays instant below this.
-_MAX_FIELD_CHAR = 1 << 31
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
-def _field_char(text: str) -> int:
-    try:
-        p = int(text)
-    except ValueError:
-        p = 0
-    if not 2 <= p < _MAX_FIELD_CHAR or any(
-            p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-        raise argparse.ArgumentTypeError(
-            f"must be a prime below 2^31, got {text!r}")
-    return p
-
-
-def _threads(text: str) -> int:
-    try:
-        t = int(text)
-    except ValueError:
-        t = 0
-    if t < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text!r}")
-    return t
-
-
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--field-char", type=_field_char, default=2,
-                   help="homology coefficient characteristic (default 2; "
-                        "only 2 is exercised by the acceptance suite)")
-    p.add_argument("--threads", type=_threads, default=1,
-                   help="worker processes for the Betti sweeps (default 1; "
-                        "at most the CPU count are started)")
+def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None,
                    help="write the result document here instead of stdout")
+
+
+def _add_threads_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=_int_at_least(1), default=1,
+                   help="worker processes for the Betti sweeps (default 1; "
+                        "at most the CPU count are started)")
 
 
 def _term_order(args, n: int) -> TermOrder:
@@ -140,19 +126,12 @@ def _load_code(path: str) -> Code:
 
 def _cmd_ghw(args) -> dict:
     code = _load_code(args.matrix)
-    params = {"matrix": args.matrix, "route": args.route,
-              "field_char": args.field_char}
-    if args.route == "oracle":
-        seq = ghw_hierarchy(code)
+    params = {"matrix": args.matrix, "route": args.route}
+    if args.route in ("oracle", "resolution"):
+        seq = (ghw_hierarchy(code) if args.route == "oracle"
+               else ghw_via_resolution(code, processes=args.threads))
         result = {
-            "route": "oracle",
-            "ghw": list(seq.values),
-            "display": " ".join(str(d) for d in seq.values),
-        }
-    elif args.route == "resolution":
-        seq = ghw_via_resolution(code, processes=args.threads)
-        result = {
-            "route": "resolution",
+            "route": args.route,
             "ghw": list(seq.values),
             "display": " ".join(str(d) for d in seq.values),
         }
@@ -190,8 +169,7 @@ def _cmd_ghw(args) -> dict:
 
 def _cmd_betti(args) -> dict:
     code = _load_code(args.matrix)
-    params = {"matrix": args.matrix, "ideal": args.ideal,
-              "field_char": args.field_char}
+    params = {"matrix": args.matrix, "ideal": args.ideal}
     result: dict = {"ideal": args.ideal}
     if args.ideal == "stanley-reisner":
         gens = minimal_support_codewords(code)
@@ -217,8 +195,7 @@ def _cmd_betti(args) -> dict:
         params["order_count"] = len(orders)
         ideal = union_testsets(code, orders)
         result["union_size"] = len(ideal.gens)
-    table = betti_table_hochster(ideal, char=args.field_char,
-                                 processes=args.threads)
+    table = betti_table_hochster(ideal, processes=args.threads)
     result.update({
         "generator_count": len(ideal.gens),
         "generators": [word_to_string(g, code.n) for g in ideal.gens],
@@ -234,8 +211,7 @@ def _cmd_betti(args) -> dict:
 def _cmd_gb(args) -> dict:
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
-    params = {"matrix": args.matrix, "order": _order_params(order),
-              "field_char": args.field_char}
+    params = {"matrix": args.matrix, "order": _order_params(order)}
     basis, _ = reduced_groebner_basis(code, order)
     words = test_set(basis, code)
     result = {
@@ -258,7 +234,7 @@ def _cmd_decode(args) -> dict:
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
-              "word": args.word, "field_char": args.field_char}
+              "word": args.word}
     if len(args.word) != code.n:
         raise GhwError(f"word length {len(args.word)} != code length {code.n}")
     try:
@@ -281,7 +257,7 @@ def _cmd_verify(args) -> dict:
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
-              "seed": args.seed, "field_char": args.field_char}
+              "seed": args.seed}
     report = verify_code(code, order, seed=args.seed, processes=args.threads)
     return build_document("verify", params, _code_info(code),
                           report.as_dict(),
@@ -289,6 +265,10 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
+    if args.n > size_cap():
+        raise CapExceeded(f"--n {args.n} exceeds cap {size_cap()}")
+    if args.k > args.n:
+        raise GhwError(f"--k must be at most --n={args.n}, got {args.k}")
     if args.use_order:
         orders = [_parse_order_spec(s, args.n) for s in args.use_order]
     else:
@@ -297,7 +277,7 @@ def _cmd_search(args) -> dict:
     params = {"n": args.n, "k": args.k, "trials": args.trials,
               "seed": args.seed,
               "orders": [_order_params(o) for o in orders],
-              "injected": len(inject), "field_char": args.field_char}
+              "injected": len(inject)}
     report = counterexample_search(args.n, args.k, args.trials, args.seed,
                                    orders=orders, inject=inject)
     return build_document("search", params, None, report.as_dict(),
@@ -321,7 +301,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("oracle", "resolution", "testset"),
                    default="oracle")
     _add_order_flags(p)
-    _add_common_flags(p)
+    _add_threads_flag(p)
+    _add_output_flag(p)
     p.set_defaults(func=_cmd_ghw)
 
     p = sub.add_parser("betti", help="Betti table of a code-derived ideal")
@@ -332,46 +313,49 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-orders", action="store_true",
                    help="union over every deglex/degrevlex priority "
                         "permutation (default when n <= 7)")
-    p.add_argument("--sample-orders", type=int, default=0, metavar="N",
+    p.add_argument("--sample-orders", type=_int_at_least(1), default=0,
+                   metavar="N",
                    help="union over N seeded random orders (default above n=7: 200)")
     p.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
                    help="explicit order for the union, repeatable")
     p.add_argument("--seed", type=int, default=0)
     _add_order_flags(p)
-    _add_common_flags(p)
+    _add_threads_flag(p)
+    _add_output_flag(p)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("gb", help="reduced Groebner basis and test set")
     p.add_argument("matrix")
     _add_order_flags(p)
-    _add_common_flags(p)
+    _add_output_flag(p)
     p.set_defaults(func=_cmd_gb)
 
     p = sub.add_parser("decode", help="decode a word by coset-leader reduction")
     p.add_argument("matrix")
     p.add_argument("word", help="received word as a bitstring")
     _add_order_flags(p)
-    _add_common_flags(p)
+    _add_output_flag(p)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("verify", help="run every proven check on one code")
     p.add_argument("matrix")
     p.add_argument("--seed", type=int, default=0)
     _add_order_flags(p)
-    _add_common_flags(p)
+    _add_threads_flag(p)
+    _add_output_flag(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("search", help="randomized counterexample search")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--trials", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
                    help="order to test each sampled code under, repeatable")
     p.add_argument("--inject", action="append", metavar="FILE",
                    help="matrix file evaluated before the random stream, repeatable")
     _add_order_flags(p)
-    _add_common_flags(p)
+    _add_output_flag(p)
     p.set_defaults(func=_cmd_search)
     return parser
 

@@ -124,18 +124,11 @@ def ghw_hierarchy(c: Code) -> "GhwSequence":
 
 
 def ghw_bruteforce(c: Code, h: int) -> int:
-    """d_h: minimum |S| over S with an h-dimensional subcode inside S.
-
-    Enumerates subsets by increasing size and exits at the first hit.
-    """
+    """d_h: minimum |S| over S with an h-dimensional subcode inside S,
+    read off ghw_hierarchy's sweep."""
     if not 1 <= h <= c.k:
         raise ValueError(f"h must be in 1..{c.k}")
-    cols = [c.generator.column(j) for j in range(c.n)]
-    for s in range(h, c.n + 1):
-        for combo in combinations(range(c.n), c.n - s):
-            if c.k - rank_of_words(cols[j] for j in combo) >= h:
-                return s
-    raise TheoremViolation(f"no support of dimension {h} found")  # unreachable
+    return ghw_hierarchy(c).values[h - 1]
 
 
 def matroid_circuits(c: Code) -> tuple[int, ...]:

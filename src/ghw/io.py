@@ -49,10 +49,6 @@ def load_matrix(path: str) -> BinaryMatrix:
         return parse_matrix_text(fh.read())
 
 
-def matrix_to_text(m: BinaryMatrix) -> str:
-    return "\n".join(" ".join(row) for row in m.row_strings()) + "\n"
-
-
 def render_betti_diagram(table: BettiTable) -> str:
     """Render the table the way the worked diagrams print it.
 

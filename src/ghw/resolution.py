@@ -7,9 +7,10 @@ complex restricted to each vertex subset W: homology in degree d lands at
 nothing, and a restriction is a cone whenever some vertex of W lies in no
 generator support inside W, which prunes most of the 2^n sweep.
 
-Homology is computed from boundary-matrix ranks: over GF(2) with packed
-int rows, over odd characteristics with dense signed elimination (only
-small ambients need that path).
+Homology is computed over GF(2) from boundary-matrix ranks with packed
+int rows.  restricted_faces and the sweep share one face enumeration
+and one homology step; reduced_homology_dims is the checked public
+entry to that step.
 """
 
 from __future__ import annotations
@@ -28,24 +29,6 @@ class MonomialIdeal:
 
     n: int
     gens: tuple[int, ...]
-
-    def complex_view(self) -> "SimplicialComplexView":
-        return SimplicialComplexView(self.n, self.gens)
-
-
-@dataclass(frozen=True)
-class SimplicialComplexView:
-    """The complex whose minimal nonfaces are the ideal's generators.
-
-    A subset is a face iff it contains no nonface; single-variable
-    generators just delete their vertex.
-    """
-
-    n: int
-    nonfaces: tuple[int, ...]
-
-    def is_face(self, mask: int) -> bool:
-        return not any(g & mask == g for g in self.nonfaces)
 
 
 @dataclass
@@ -69,13 +52,6 @@ class BettiTable:
 
     def sorted_triples(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, b) for (i, j), b in self.entries.items())
-
-    def column_sums(self) -> dict[int, int]:
-        """Total rank of each free module: i -> sum_j beta_{i,j}."""
-        out: dict[int, int] = {}
-        for (i, _), b in self.entries.items():
-            out[i] = out.get(i, 0) + b
-        return out
 
     def alternating_sums_by_shift(self) -> dict[int, int]:
         """j -> sum_i (-1)^i beta_{i,j}, the K-polynomial coefficients."""
@@ -107,23 +83,42 @@ def ideal_from_supports(n: int, supports) -> MonomialIdeal:
     return MonomialIdeal(n, tuple(sorted(minimal, key=lambda w: word_to_string(w, n))))
 
 
-def restricted_faces(v: SimplicialComplexView, w: int) -> dict[int, list[int]]:
-    """All faces contained in the vertex mask w, grouped by dimension.
+def _nonface_table(n: int, gens, ground: int) -> bytearray:
+    """nonface[m] = 1 iff m contains some generator, filled for every mask
+    m inside ground (entries outside ground stay 0).
 
-    The empty face appears under dimension -1 whenever it is a face
-    (always, unless the ideal contains the constant monomial).
+    Submasks of ground are visited in ascending order, so the one-bit
+    smaller submasks of m are settled before m.
     """
-    by_dim: dict[int, list[int]] = {}
+    table = bytearray(1 << n)
+    genset = set(gens)
+    mask = 0
+    while True:
+        if mask in genset:
+            table[mask] = 1
+        else:
+            m = mask
+            while m:
+                low = m & -m
+                if table[mask ^ low]:
+                    table[mask] = 1
+                    break
+                m ^= low
+        if mask == ground:
+            return table
+        mask = (mask - ground) & ground
+
+
+def _faces_by_size(w: int, nonface: bytearray) -> list[list[int]]:
+    """by_size[s] lists the faces of size s inside the vertex mask w."""
+    by_size: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
     sub = w
     while True:
-        if v.is_face(sub):
-            by_dim.setdefault(sub.bit_count() - 1, []).append(sub)
+        if not nonface[sub]:
+            by_size[sub.bit_count()].append(sub)
         if sub == 0:
-            break
+            return by_size
         sub = (sub - 1) & w
-    for faces in by_dim.values():
-        faces.sort()
-    return by_dim
 
 
 def _gf2_boundary_ranks(by_size: list[list[int]]) -> list[int]:
@@ -160,44 +155,47 @@ def _gf2_boundary_ranks(by_size: list[list[int]]) -> list[int]:
     return ranks
 
 
-def _modp_boundary_ranks(by_size: list[list[int]], p: int) -> list[int]:
-    """Boundary ranks over GF(p) for odd p, dense signed elimination."""
-    top = len(by_size) - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        cols = by_size[s]
-        if not cols:
-            break
-        index = {m: i for i, m in enumerate(by_size[s - 1])}
-        nrows = len(by_size[s - 1])
-        reduced: list[list[int]] = []
-        pivots: list[int] = []
-        for c in cols:
-            vec = [0] * nrows
-            sign = 1
-            m = c
-            while m:
-                low = m & -m
-                vec[index[c ^ low]] = sign % p
-                sign = -sign
-                m ^= low
-            for row, piv in zip(reduced, pivots):
-                coef = vec[piv]
-                if coef:
-                    inv = pow(row[piv], -1, p)
-                    mult = (coef * inv) % p
-                    for t in range(nrows):
-                        vec[t] = (vec[t] - mult * row[t]) % p
-            piv = next((t for t, x in enumerate(vec) if x), None)
-            if piv is not None:
-                reduced.append(vec)
-                pivots.append(piv)
-        ranks[s] = len(reduced)
-    return ranks
+def _homology_by_size(by_size: list[list[int]],
+                      audit: bool = False) -> list[int]:
+    """h[s] = dimension of the reduced homology in degree s - 1.
+
+    h = f - r_s - r_{s+1} from the face counts and the boundary ranks.
+    audit checks every h and the Euler characteristic as it goes.
+    """
+    ranks = _gf2_boundary_ranks(by_size)
+    hs: list[int] = []
+    euler = 0  # sum of (-1)^s (f - h); zero when the ranks are consistent
+    for s, faces in enumerate(by_size):
+        f = len(faces)
+        h = f - ranks[s] - ranks[s + 1]
+        if audit:
+            if h < 0 or ranks[s] > f:
+                raise TheoremViolation(f"inconsistent ranks at face size {s}")
+            euler += f - h if s % 2 == 0 else h - f
+        hs.append(h)
+    if euler:
+        raise TheoremViolation(
+            f"Euler mismatch: faces and homology differ by {euler}")
+    return hs
 
 
-def reduced_homology_dims(faces_by_dim: dict[int, list[int]], char: int = 2) -> dict[int, int]:
-    """Dimensions of the reduced homology of a downward-closed family.
+def restricted_faces(ideal: MonomialIdeal, w: int) -> dict[int, list[int]]:
+    """All faces of the ideal's complex contained in the vertex mask w,
+    grouped by dimension and sorted.
+
+    The complex's minimal nonfaces are the generators.  The empty face
+    appears under dimension -1 whenever it is a face (always, unless the
+    ideal contains the constant monomial).
+    """
+    if w & ~((1 << ideal.n) - 1):
+        raise ValueError(f"vertex mask {bin(w)} outside ambient of size {ideal.n}")
+    by_size = _faces_by_size(w, _nonface_table(ideal.n, ideal.gens, w))
+    return {s - 1: sorted(faces) for s, faces in enumerate(by_size) if faces}
+
+
+def reduced_homology_dims(faces_by_dim: dict[int, list[int]]) -> dict[int, int]:
+    """Dimensions of the reduced homology of a downward-closed family,
+    over GF(2).
 
     Input is the output shape of restricted_faces.  The chain complex is
     augmented: the complex {empty face} has homology of dimension 1 in
@@ -213,41 +211,11 @@ def reduced_homology_dims(faces_by_dim: dict[int, list[int]], char: int = 2) -> 
     for s in range(1, len(by_size)):
         if by_size[s] and not by_size[s - 1]:
             raise ValueError(f"family not downward closed: no faces of size {s - 1}")
-    for faces in by_size:
-        faces.sort()
     try:
-        if char == 2:
-            ranks = _gf2_boundary_ranks(by_size)
-        else:
-            ranks = _modp_boundary_ranks(by_size, char)
+        hs = _homology_by_size(by_size)
     except KeyError as missing:
         raise ValueError(f"family not downward closed: missing face {missing}")
-    out: dict[int, int] = {}
-    for s, faces in enumerate(by_size):
-        h = len(faces) - ranks[s] - ranks[s + 1]
-        if h:
-            out[s - 1] = h
-    return out
-
-
-def _nonface_table(n: int, gens) -> bytearray:
-    """nonface[mask] = 1 iff mask contains some generator."""
-    table = bytearray(1 << n)
-    genset = set(gens)
-    if 0 in genset:
-        table[0] = 1
-    for mask in range(1, 1 << n):
-        if mask in genset:
-            table[mask] = 1
-            continue
-        m = mask
-        while m:
-            low = m & -m
-            if table[mask ^ low]:
-                table[mask] = 1
-                break
-            m ^= low
-    return table
+    return {s - 1: h for s, h in enumerate(hs) if h}
 
 
 def _covered_table(n: int, gens) -> list[int]:
@@ -265,63 +233,34 @@ def _covered_table(n: int, gens) -> list[int]:
     return table
 
 
-def _sweep_chunk(n: int, gens: tuple[int, ...], char: int,
+def _sweep_chunk(n: int, gens: tuple[int, ...],
                  start: int, stop: int, audit: bool) -> dict[tuple[int, int], int]:
     """Accumulate Hochster contributions of vertex sets in [start, stop)."""
-    nonface = _nonface_table(n, gens)
+    nonface = _nonface_table(n, gens, (1 << n) - 1)
     covered = _covered_table(n, gens)
     table: dict[tuple[int, int], int] = {}
     for w in range(max(start, 1), stop):
         if covered[w] != w:
             continue  # some vertex uncovered: the restriction is a cone
         j = w.bit_count()
-        by_size: list[list[int]] = [[] for _ in range(j + 1)]
-        sub = w
-        while True:
-            if not nonface[sub]:
-                by_size[sub.bit_count()].append(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & w
-        if char == 2:
-            ranks = _gf2_boundary_ranks(by_size)
-        else:
-            for faces in by_size:
-                faces.sort()
-            ranks = _modp_boundary_ranks(by_size, char)
-        for s in range(j + 1):
-            f = len(by_size[s])
-            h = f - ranks[s] - ranks[s + 1]
-            if audit and (h < 0 or ranks[s] > f):
-                raise TheoremViolation(
-                    f"inconsistent ranks at W={bin(w)} size {s}")
+        by_size = _faces_by_size(w, nonface)
+        for s, h in enumerate(_homology_by_size(by_size, audit)):
             if h:
                 key = (j - s, j)  # homological degree i = j - (s-1) - 1
                 table[key] = table.get(key, 0) + h
-        if audit:
-            f_alt = sum((1 if s % 2 == 0 else -1) * len(by_size[s])
-                        for s in range(j + 1))
-            h_alt = 0
-            for s in range(j + 1):
-                h = len(by_size[s]) - ranks[s] - ranks[s + 1]
-                h_alt += h if s % 2 == 0 else -h
-            if f_alt != h_alt:
-                raise TheoremViolation(
-                    f"Euler mismatch at W={bin(w)}: faces {f_alt} vs homology {h_alt}")
     return table
 
 
-def betti_table_hochster(ideal: MonomialIdeal, char: int = 2,
-                         processes: int = 1, audit: bool = False) -> BettiTable:
-    """Graded Betti table of R/I from homology of restricted complexes.
+def betti_table_hochster(ideal: MonomialIdeal, processes: int = 1,
+                         audit: bool = False) -> BettiTable:
+    """Graded Betti table of R/I over GF(2) from homology of restricted
+    complexes.
 
-    char selects the coefficient field (2 uses the packed kernel; odd
-    characteristics are exposed for cross-checks at small n).  processes
-    caps the worker processes: the vertex-set sweep is split into
-    min(processes, CPU count, 2^n - 1) contiguous chunks, one per worker,
-    merged by summation, which cannot change the result.  audit
-    re-verifies the Euler characteristic of every restricted complex
-    touched.
+    processes caps the worker processes: the vertex-set sweep is split
+    into min(processes, CPU count, 2^n - 1) contiguous chunks, one per
+    worker, merged by summation, which cannot change the result.  audit
+    re-verifies the ranks and the Euler characteristic of every
+    restricted complex touched.
     """
     n = ideal.n
     if n > size_cap():
@@ -331,14 +270,14 @@ def betti_table_hochster(ideal: MonomialIdeal, char: int = 2,
         table[(0, 0)] = 1  # W = empty set: homology of {empty face} in degree -1
     workers = min(processes, os.cpu_count() or 1, (1 << n) - 1)
     if workers <= 1:
-        part = _sweep_chunk(n, ideal.gens, char, 1, 1 << n, audit)
+        part = _sweep_chunk(n, ideal.gens, 1, 1 << n, audit)
         for key, val in part.items():
             table[key] = table.get(key, 0) + val
         return BettiTable(table)
     bounds = [1 + (((1 << n) - 1) * t) // workers for t in range(workers + 1)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(_sweep_chunk, n, ideal.gens, char, lo, hi, audit)
+            pool.submit(_sweep_chunk, n, ideal.gens, lo, hi, audit)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         for fut in futures:
@@ -361,16 +300,30 @@ def min_shifts(t: BettiTable) -> tuple[int, ...]:
     return tuple(j for _, j in min_shift_sequence(t))
 
 
-def taylor_pair_minimum(ideal: MonomialIdeal) -> int:
-    """Smallest second-step shift of the Taylor resolution: the minimum
-    support-union size over generator pairs."""
-    gens = ideal.gens
-    if len(gens) < 2:
-        raise TooFewGenerators("need at least two generators")
-    best = ideal.n + 1
-    for a in range(len(gens)):
-        for b in range(a + 1, len(gens)):
-            size = (gens[a] | gens[b]).bit_count()
+def min_pair_union(masks) -> int:
+    """Smallest |a | b| over pairs of distinct positions in masks.
+
+    Over GF(2) the support of span{a, b} is a | b, so over nonzero
+    codewords this is d_2, and over generators it is the smallest
+    second-step shift of the Taylor resolution.  Masks are scanned by
+    ascending weight: a pair's union is at least the heavier mask, so the
+    scan stops at the first mask as heavy as the best union so far.
+    """
+    masks = sorted(masks, key=int.bit_count)
+    if len(masks) < 2:
+        raise TooFewGenerators(f"need at least two words, got {len(masks)}")
+    best = max(masks).bit_length() + 1  # above any union
+    for i, b in enumerate(masks):
+        if b.bit_count() >= best:
+            break
+        for a in masks[:i]:
+            size = (a | b).bit_count()
             if size < best:
                 best = size
     return best
+
+
+def taylor_pair_minimum(ideal: MonomialIdeal) -> int:
+    """Smallest second-step shift of the Taylor resolution: the minimum
+    support-union size over generator pairs."""
+    return min_pair_union(ideal.gens)

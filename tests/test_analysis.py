@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ghw import (
     BinaryMatrix,
+    Code,
     DimensionTooSmall,
     TermOrder,
     TooFewGenerators,
@@ -13,10 +16,12 @@ from ghw import (
     ghw_bruteforce,
     ghw_hierarchy,
     ghw_via_resolution,
+    min_pair_union,
     minimal_support_codewords,
     reduced_groebner_basis,
     sample_orders,
     second_weight_witness,
+    subcode_dim_within,
     union_testsets,
     verify_code,
     word_from_string,
@@ -108,6 +113,43 @@ def test_d2_from_testset_random_codes_match_oracle():
 def test_d2_from_testset_needs_two_words():
     with pytest.raises(TooFewGenerators):
         d2_from_testset(make_code(["111"]), TermOrder.default(3))
+
+
+@st.composite
+def codes_of_dimension_two_or_more(draw):
+    """Random codes, some degenerate (a column cleared) and some with a
+    weight-1 codeword (a unit row added), under a random order."""
+    n = draw(st.integers(2, 8))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=2, max_size=n))
+    dead = draw(st.sampled_from((0, 1 << (n - 1))))
+    rows = [r & ~dead for r in rows]
+    unit = draw(st.none() | st.integers(0, n - 1))
+    if unit is not None:
+        rows.append(1 << unit)
+    assume(any(rows))
+    code = Code.from_generator(BinaryMatrix(tuple(rows), n))
+    assume(code.k >= 2)
+    kind = draw(st.sampled_from(("deglex", "degrevlex")))
+    return code, TermOrder(kind, tuple(draw(st.permutations(range(n)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(codes_of_dimension_two_or_more())
+def test_pair_minimum_and_witness_match_subset_oracle(case):
+    code, order = case
+    d2 = ghw_bruteforce(code, 2)
+    by_definition = min(mask.bit_count() for mask in range(1 << code.n)
+                        if subcode_dim_within(code, mask) >= 2)
+    assert d2 == by_definition
+    assert min_pair_union(w for w in code.codewords() if w) == d2
+    assert second_weight_witness(code, order).union_size == d2
+
+
+def test_min_pair_union_needs_two_words():
+    with pytest.raises(TooFewGenerators):
+        min_pair_union([0b011])
+    assert min_pair_union([0b0011, 0b0011]) == 2  # positions, not values
+    assert min_pair_union([0b1111, 0b0001, 0b0110]) == 3
 
 
 def test_symmetric_difference_triple_examples():

@@ -182,7 +182,6 @@ def test_cli_gb_repetition_counts(capsys):
     doc = run_json(capsys, "gb", REP31)
     assert doc["result"]["squarefree_count"] == 3
     assert doc["result"]["quadric_count"] == 3
-    assert doc["params"]["field_char"] == 2
 
 
 def test_cli_threads_flag_equivalence(capsys):
@@ -255,15 +254,6 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert rc == 1
 
 
-@pytest.mark.parametrize("value", ["0", "1", "4", "9", "-3"])
-def test_cli_rejects_non_prime_field_char(capsys, value):
-    rc, out, err = run_cli(capsys, "betti", REP31, f"--field-char={value}")
-    assert rc == 1
-    assert out == ""
-    assert "--field-char" in err and "prime" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("value", ["0", "-2", "many"])
 def test_cli_rejects_threads_below_one(capsys, value):
     rc, out, err = run_cli(capsys, "betti", REP31, f"--threads={value}")
@@ -271,6 +261,44 @@ def test_cli_rejects_threads_below_one(capsys, value):
     assert out == ""
     assert "--threads" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("search", "--n", "-3", "--k", "2", "--trials", "1"), "--n"),
+    (("search", "--n", "4", "--k", "6", "--trials", "1"), "--k"),
+    (("search", "--n", "4", "--k", "0", "--trials", "1"), "--k"),
+    (("search", "--n", "4", "--k", "2", "--trials", "-2"), "--trials"),
+    (("betti", TOY, "--ideal", "union-testsets", "--sample-orders", "-4"),
+     "--sample-orders"),
+    (("betti", TOY, "--ideal", "union-testsets", "--sample-orders", "0"),
+     "--sample-orders"),
+])
+def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert flag in err
+    assert "Traceback" not in err
+
+
+def test_cli_search_length_above_cap(capsys, monkeypatch):
+    monkeypatch.setenv("GHW_SIZE_CAP", "8")
+    rc, out, err = run_cli(capsys, "search", "--n", "9", "--k", "2",
+                           "--trials", "0")
+    assert rc == 2
+    assert out == ""
+    assert "--n" in err and "cap" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("gb", REP31), ("decode", REP31, "110"),
+    ("search", "--n", "4", "--k", "2", "--trials", "0"),
+])
+def test_cli_threads_only_where_a_sweep_reads_it(capsys, command):
+    rc, out, err = run_cli(capsys, *command, "--threads", "2")
+    assert rc == 1
+    assert out == ""
+    assert "--threads" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

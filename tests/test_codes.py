@@ -158,8 +158,10 @@ def test_ghw_hierarchy_matches_per_h_and_bounds():
         k = rng.randint(1, min(5, n - 1))
         code = random_code(rng, n, k)
         seq = ghw_hierarchy(code)  # constructor enforces shape and Singleton
+        dims = [(subcode_dim_within(code, m), m.bit_count()) for m in range(1 << n)]
         for h in range(1, code.k + 1):
             assert ghw_bruteforce(code, h) == seq.values[h - 1]
+            assert seq.values[h - 1] == min(size for dim, size in dims if dim >= h)
 
 
 def test_ghw_d1_is_minimum_weight():
