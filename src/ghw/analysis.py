@@ -27,11 +27,11 @@ from .resolution import (
 )
 
 
-def ghw_via_resolution(c: Code, processes: int = 1) -> GhwSequence:
+def ghw_via_resolution(c: Code) -> GhwSequence:
     """Weight hierarchy read off the Betti table of the circuit ideal:
     d_i is the smallest shift in homological degree i."""
     ideal = ideal_from_supports(c.n, minimal_support_codewords(c))
-    table = betti_table_hochster(ideal, processes=processes)
+    table = betti_table_hochster(ideal)
     values = min_shifts(table)
     return GhwSequence(values, n=c.n, k=c.k)
 
@@ -175,8 +175,7 @@ class VerificationReport:
 
 
 def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
-                seed: int = 0, audit: bool = False,
-                processes: int = 1) -> VerificationReport:
+                seed: int = 0, audit: bool = False) -> VerificationReport:
     """Run the whole battery of proven checks on one code and order.
 
     The battery: test-set membership and the d_1 word, standard form,
@@ -188,13 +187,13 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
     ghw = ghw_hierarchy(c)
     minimal = minimal_support_codewords(c)
     table_full = betti_table_hochster(
-        ideal_from_supports(c.n, minimal), audit=audit, processes=processes)
+        ideal_from_supports(c.n, minimal), audit=audit)
     minshift_full = min_shifts(table_full)
 
     basis, _ = reduced_groebner_basis(c, o)
     words = test_set(basis, c)
     table_ts = betti_table_hochster(
-        ideal_from_supports(c.n, words), audit=audit, processes=processes)
+        ideal_from_supports(c.n, words), audit=audit)
     minshift_ts = min_shifts(table_ts)
     pd_ts = table_ts.pd
 

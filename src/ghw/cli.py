@@ -68,12 +68,6 @@ def _add_output_flag(p: argparse.ArgumentParser) -> None:
                    help="write the result document here instead of stdout")
 
 
-def _add_threads_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=_int_at_least(1), default=1,
-                   help="worker processes for the Betti sweeps (default 1; "
-                        "at most the CPU count are started)")
-
-
 def _term_order(args, n: int) -> TermOrder:
     if args.vars is None:
         return TermOrder.default(n, args.order)
@@ -129,7 +123,7 @@ def _cmd_ghw(args) -> dict:
     params = {"matrix": args.matrix, "route": args.route}
     if args.route in ("oracle", "resolution"):
         seq = (ghw_hierarchy(code) if args.route == "oracle"
-               else ghw_via_resolution(code, processes=args.threads))
+               else ghw_via_resolution(code))
         result = {
             "route": args.route,
             "ghw": list(seq.values),
@@ -140,8 +134,7 @@ def _cmd_ghw(args) -> dict:
         params["order"] = _order_params(order)
         basis, _ = reduced_groebner_basis(code, order)
         words = test_set(basis, code)
-        table = betti_table_hochster(
-            ideal_from_supports(code.n, words), processes=args.threads)
+        table = betti_table_hochster(ideal_from_supports(code.n, words))
         shifts = min_shifts(table)
         entries = []
         for i, j in enumerate(shifts, start=1):
@@ -195,7 +188,7 @@ def _cmd_betti(args) -> dict:
         params["order_count"] = len(orders)
         ideal = union_testsets(code, orders)
         result["union_size"] = len(ideal.gens)
-    table = betti_table_hochster(ideal, processes=args.threads)
+    table = betti_table_hochster(ideal)
     result.update({
         "generator_count": len(ideal.gens),
         "generators": [word_to_string(g, code.n) for g in ideal.gens],
@@ -258,7 +251,7 @@ def _cmd_verify(args) -> dict:
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
               "seed": args.seed}
-    report = verify_code(code, order, seed=args.seed, processes=args.threads)
+    report = verify_code(code, order, seed=args.seed)
     return build_document("verify", params, _code_info(code),
                           report.as_dict(),
                           time.perf_counter() - args._t0, __version__)
@@ -274,6 +267,9 @@ def _cmd_search(args) -> dict:
     else:
         orders = [_term_order(args, args.n)]
     inject = tuple(load_matrix(path) for path in args.inject or ())
+    for path, matrix in zip(args.inject or (), inject):
+        if matrix.ncols != args.n:
+            raise GhwError(f"--inject {path}: length {matrix.ncols} != --n {args.n}")
     params = {"n": args.n, "k": args.k, "trials": args.trials,
               "seed": args.seed,
               "orders": [_order_params(o) for o in orders],
@@ -301,7 +297,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", choices=("oracle", "resolution", "testset"),
                    default="oracle")
     _add_order_flags(p)
-    _add_threads_flag(p)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_ghw)
 
@@ -320,7 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="explicit order for the union, repeatable")
     p.add_argument("--seed", type=int, default=0)
     _add_order_flags(p)
-    _add_threads_flag(p)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_betti)
 
@@ -341,7 +335,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--seed", type=int, default=0)
     _add_order_flags(p)
-    _add_threads_flag(p)
     _add_output_flag(p)
     p.set_defaults(func=_cmd_verify)
 

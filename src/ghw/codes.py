@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import LengthCapExceeded, TheoremViolation, ZeroCode, size_cap
-from .gf2 import BinaryMatrix, bits_of, kernel_basis, rank_of_words, rref, word_to_string
+from .gf2 import (BinaryMatrix, inclusion_minimal, kernel_basis, rank_of_columns,
+                  rank_of_words, rref, word_to_string)
 
 
 @dataclass(frozen=True)
@@ -73,18 +74,10 @@ def minimal_support_codewords(c: Code) -> tuple[int, ...]:
     """Nonzero codewords whose support strictly contains no other nonzero
     codeword's support.
 
-    Full enumeration with inclusion filtering: scanning by ascending
-    weight, a word is minimal iff no already-accepted minimal word is a
-    proper subset of it.  Returned sorted by bitstring (coordinate 1
-    leftmost), like every word set in this package.
+    Full enumeration filtered by inclusion_minimal, sorted by bitstring
+    (coordinate 1 leftmost) like every word set in this package.
     """
-    by_weight = sorted((w for w in c.codewords() if w),
-                       key=lambda w: (w.bit_count(), w))
-    minimal: list[int] = []
-    for w in by_weight:
-        if not any(m & w == m for m in minimal):
-            minimal.append(w)
-    return tuple(sorted(minimal, key=lambda w: word_to_string(w, c.n)))
+    return inclusion_minimal((w for w in c.codewords() if w), c.n)
 
 
 def subcode_dim_within(c: Code, s: int) -> int:
@@ -93,9 +86,7 @@ def subcode_dim_within(c: Code, s: int) -> int:
     Equals k minus the rank of the generator columns outside s: the
     subcode is the kernel of the projection onto those coordinates.
     """
-    outside = ~s & ((1 << c.n) - 1)
-    cols = [c.generator.column(j) for j in bits_of(outside)]
-    return c.k - rank_of_words(cols)
+    return c.k - rank_of_columns(c.generator, ~s & ((1 << c.n) - 1))
 
 
 def ghw_hierarchy(c: Code) -> "GhwSequence":

@@ -32,6 +32,19 @@ def word_to_string(word: int, n: int) -> str:
     return "".join("1" if (word >> i) & 1 else "0" for i in range(n))
 
 
+def inclusion_minimal(masks, n: int) -> tuple[int, ...]:
+    """The masks that contain no other mask, once each, sorted by bitstring.
+
+    Scanning by ascending weight, a mask is kept iff no kept mask is a
+    subset of it (a repeat is a subset of its first copy).
+    """
+    minimal: list[int] = []
+    for s in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if not any(g & s == g for g in minimal):
+            minimal.append(s)
+    return tuple(sorted(minimal, key=lambda w: word_to_string(w, n)))
+
+
 def bits_of(mask: int):
     """Yield the 0-based set-bit positions of mask, ascending."""
     while mask:
@@ -40,7 +53,7 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def rank_of_words(words, ncols: int = 0) -> int:
+def rank_of_words(words) -> int:
     """GF(2) rank of a collection of int words (xor-basis elimination)."""
     basis: dict[int, int] = {}
     for v in words:

@@ -3,9 +3,10 @@ homology, and graded Betti tables via vertex-set sweeps.
 
 The Betti table of R/I is accumulated from the reduced homology of the
 complex restricted to each vertex subset W: homology in degree d lands at
-(i, j) = (|W| - d - 1, |W|).  Restrictions that are cones contribute
-nothing, and a restriction is a cone whenever some vertex of W lies in no
-generator support inside W, which prunes most of the 2^n sweep.
+(i, j) = (|W| - d - 1, |W|).  Only W in the lcm lattice of the generators
+(the unions of generator supports) can contribute: any other W has a
+vertex in no generator inside W, so its restriction is a cone.  The sweep
+visits that lattice and nothing else.
 
 Homology is computed over GF(2) from boundary-matrix ranks with packed
 int rows.  restricted_faces and the sweep share one face enumeration
@@ -15,12 +16,10 @@ entry to that step.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyAmbient, TheoremViolation, TooFewGenerators, size_cap
-from .gf2 import word_to_string
+from .gf2 import inclusion_minimal
 
 
 @dataclass(frozen=True)
@@ -71,16 +70,11 @@ def ideal_from_supports(n: int, supports) -> MonomialIdeal:
     if n == 0:
         raise EmptyAmbient("no variables")
     mask_all = (1 << n) - 1
-    seen = set()
+    supports = set(supports)
     for s in supports:
         if s & ~mask_all:
             raise ValueError(f"support {bin(s)} outside ambient of size {n}")
-        seen.add(s)
-    minimal: list[int] = []
-    for s in sorted(seen, key=lambda m: (m.bit_count(), m)):
-        if not any(g & s == g for g in minimal):
-            minimal.append(s)
-    return MonomialIdeal(n, tuple(sorted(minimal, key=lambda w: word_to_string(w, n))))
+    return MonomialIdeal(n, inclusion_minimal(supports, n))
 
 
 def _nonface_table(n: int, gens, ground: int) -> bytearray:
@@ -218,71 +212,30 @@ def reduced_homology_dims(faces_by_dim: dict[int, list[int]]) -> dict[int, int]:
     return {s - 1: h for s, h in enumerate(hs) if h}
 
 
-def _covered_table(n: int, gens) -> list[int]:
-    """covered[W] = union of all generators contained in W."""
-    table = [0] * (1 << n)
-    genset = set(gens)
-    for w in range(1, 1 << n):
-        u = w if w in genset else 0
-        m = w
-        while m:
-            low = m & -m
-            u |= table[w ^ low]
-            m ^= low
-        table[w] = u
-    return table
+def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTable:
+    """Graded Betti table of R/I over GF(2) from homology of restricted
+    complexes.
 
-
-def _sweep_chunk(n: int, gens: tuple[int, ...],
-                 start: int, stop: int, audit: bool) -> dict[tuple[int, int], int]:
-    """Accumulate Hochster contributions of vertex sets in [start, stop)."""
-    nonface = _nonface_table(n, gens, (1 << n) - 1)
-    covered = _covered_table(n, gens)
+    The sum runs over the lcm lattice of the generators, the empty set
+    included (it gives beta_{0,0} = 1 unless the ideal is the whole
+    ring).  audit re-verifies the ranks and the Euler characteristic of
+    every restricted complex touched.
+    """
+    n = ideal.n
+    if n > size_cap():
+        raise CapExceeded(f"2^{n} sweep exceeds cap {size_cap()}")
+    nonface = _nonface_table(n, ideal.gens, (1 << n) - 1)
+    lcms = {0}
+    for g in ideal.gens:
+        lcms |= {u | g for u in lcms}
     table: dict[tuple[int, int], int] = {}
-    for w in range(max(start, 1), stop):
-        if covered[w] != w:
-            continue  # some vertex uncovered: the restriction is a cone
+    for w in lcms:
         j = w.bit_count()
         by_size = _faces_by_size(w, nonface)
         for s, h in enumerate(_homology_by_size(by_size, audit)):
             if h:
                 key = (j - s, j)  # homological degree i = j - (s-1) - 1
                 table[key] = table.get(key, 0) + h
-    return table
-
-
-def betti_table_hochster(ideal: MonomialIdeal, processes: int = 1,
-                         audit: bool = False) -> BettiTable:
-    """Graded Betti table of R/I over GF(2) from homology of restricted
-    complexes.
-
-    processes caps the worker processes: the vertex-set sweep is split
-    into min(processes, CPU count, 2^n - 1) contiguous chunks, one per
-    worker, merged by summation, which cannot change the result.  audit
-    re-verifies the ranks and the Euler characteristic of every
-    restricted complex touched.
-    """
-    n = ideal.n
-    if n > size_cap():
-        raise CapExceeded(f"2^{n} sweep exceeds cap {size_cap()}")
-    table: dict[tuple[int, int], int] = {}
-    if 0 not in ideal.gens:
-        table[(0, 0)] = 1  # W = empty set: homology of {empty face} in degree -1
-    workers = min(processes, os.cpu_count() or 1, (1 << n) - 1)
-    if workers <= 1:
-        part = _sweep_chunk(n, ideal.gens, 1, 1 << n, audit)
-        for key, val in part.items():
-            table[key] = table.get(key, 0) + val
-        return BettiTable(table)
-    bounds = [1 + (((1 << n) - 1) * t) // workers for t in range(workers + 1)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_sweep_chunk, n, ideal.gens, lo, hi, audit)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        for fut in futures:
-            for key, val in fut.result().items():
-                table[key] = table.get(key, 0) + val
     return BettiTable(table)
 
 

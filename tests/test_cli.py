@@ -184,15 +184,6 @@ def test_cli_gb_repetition_counts(capsys):
     assert doc["result"]["quadric_count"] == 3
 
 
-def test_cli_threads_flag_equivalence(capsys):
-    base = run_json(capsys, "betti", TOY, "--ideal", "stanley-reisner")
-    threaded = run_json(capsys, "betti", TOY, "--ideal", "stanley-reisner",
-                        "--threads", "2")
-    base.pop("timing")
-    threaded.pop("timing")
-    assert base == threaded
-
-
 def test_cli_theorem_violation_exit_code(capsys, monkeypatch):
     import ghw.cli as cli_mod
     from ghw import TheoremViolation
@@ -254,15 +245,6 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert rc == 1
 
 
-@pytest.mark.parametrize("value", ["0", "-2", "many"])
-def test_cli_rejects_threads_below_one(capsys, value):
-    rc, out, err = run_cli(capsys, "betti", REP31, f"--threads={value}")
-    assert rc == 1
-    assert out == ""
-    assert "--threads" in err
-    assert "Traceback" not in err
-
-
 @pytest.mark.parametrize("argv, flag", [
     (("search", "--n", "-3", "--k", "2", "--trials", "1"), "--n"),
     (("search", "--n", "4", "--k", "6", "--trials", "1"), "--k"),
@@ -290,15 +272,27 @@ def test_cli_search_length_above_cap(capsys, monkeypatch):
     assert "--n" in err and "cap" in err
 
 
+@pytest.mark.parametrize("value", ["2", "0", "-2", "many"])
 @pytest.mark.parametrize("command", [
-    ("gb", REP31), ("decode", REP31, "110"),
-    ("search", "--n", "4", "--k", "2", "--trials", "0"),
+    ("ghw", REP31), ("betti", REP31), ("gb", REP31), ("decode", REP31, "110"),
+    ("verify", REP31), ("search", "--n", "4", "--k", "2", "--trials", "0"),
 ])
-def test_cli_threads_only_where_a_sweep_reads_it(capsys, command):
-    rc, out, err = run_cli(capsys, *command, "--threads", "2")
+def test_cli_rejects_threads_on_every_command(capsys, command, value):
+    rc, out, err = run_cli(capsys, *command, f"--threads={value}")
     assert rc == 1
     assert out == ""
     assert "--threads" in err
+    assert "Traceback" not in err
+
+
+def test_cli_search_rejects_injected_length_mismatch(capsys):
+    path = str(FIXTURES / "code149.txt")
+    rc, out, err = run_cli(capsys, "search", "--n", "6", "--k", "3",
+                           "--trials", "1", "--inject", path)
+    assert rc == 1
+    assert out == ""
+    assert path in err and "14" in err and "--n 6" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-5"])

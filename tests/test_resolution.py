@@ -1,5 +1,4 @@
 import random
-from concurrent.futures import Future
 from itertools import combinations
 
 import pytest
@@ -22,7 +21,7 @@ from ghw import (
     word_from_string,
 )
 from ghw.groebner import test_set as extract_testset
-from ghw.resolution import BettiTable
+from ghw.resolution import BettiTable, MonomialIdeal
 
 import known_codes as kc
 from test_codes import random_code
@@ -196,65 +195,19 @@ def test_betti_matches_k_polynomial_oracle():
         assert table.alternating_sums_by_shift() == k_polynomial_from_faces(ideal)
 
 
-def test_betti_audit_and_processes_agree(toy63):
+def test_betti_audit_agrees(toy63):
     ideal = ideal_from_supports(6, minimal_support_codewords(toy63))
     base = betti_table_hochster(ideal)
     assert betti_table_hochster(ideal, audit=True).entries == base.entries
-    assert betti_table_hochster(ideal, processes=2).entries == base.entries
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records max_workers and runs each
-    submitted chunk in this process, so no worker is ever started."""
-
-    created = []
-
-    def __init__(self, max_workers):
-        self.max_workers = max_workers
-        self.submitted = 0
-        RecordingPool.created.append(self)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        self.submitted += 1
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
-def test_betti_processes_clamped_to_cpus_and_chunks(toy63, monkeypatch):
-    import ghw.resolution as res
-
-    monkeypatch.setattr(res, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "created", [])
-    ideal = ideal_from_supports(6, minimal_support_codewords(toy63))
-    base = betti_table_hochster(ideal)
-
-    monkeypatch.setattr(res.os, "cpu_count", lambda: 2)
-    assert betti_table_hochster(ideal, processes=5000).entries == base.entries
-    pool, = RecordingPool.created
-    assert (pool.max_workers, pool.submitted) == (2, 2)
-
-    # more CPUs than vertex sets: one worker per nonempty subset of 2 vertices
-    RecordingPool.created.clear()
-    monkeypatch.setattr(res.os, "cpu_count", lambda: 64)
-    small = ideal_from_supports(2, [mask(1, 2)])
-    assert betti_table_hochster(small, processes=5000).entries == \
-        betti_table_hochster(small).entries
-    pool, = RecordingPool.created
-    assert (pool.max_workers, pool.submitted) == (3, 3)
-
-    # one CPU, or an unknown count: the serial path, no pool at all
-    RecordingPool.created.clear()
-    for cpus in (1, None):
-        monkeypatch.setattr(res.os, "cpu_count", lambda: cpus)
-        assert betti_table_hochster(ideal, processes=5000).entries == base.entries
-    assert RecordingPool.created == []
+def test_betti_constant_ideal_is_empty():
+    """The ideal (1): the lcm lattice is {empty set}, whose restriction
+    is the void complex, so even beta_{0,0} is absent."""
+    ideal = MonomialIdeal(3, (0,))
+    assert betti_table_hochster(ideal).entries == {}
+    assert betti_table_hochster(ideal, audit=True).entries == {}
+    assert restricted_faces(ideal, 0b111) == {}
 
 
 def test_betti_euler_consistency_per_restriction():
@@ -282,7 +235,7 @@ def small_ideals(draw):
 @settings(max_examples=100, deadline=None)
 @given(small_ideals())
 def test_betti_sweep_matches_homology_of_every_restriction(ideal):
-    """Cone pruning and the nonface/covered tables against the plain sum
+    """The lcm-lattice sweep and the nonface table against the plain sum
     of Hochster's formula over every vertex set W."""
     expected = {}
     for w in range(1 << ideal.n):
