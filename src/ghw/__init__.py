@@ -1,16 +1,19 @@
 """Generalized Hamming weights of binary linear codes, three ways:
-a brute-force subset oracle, graded Betti tables of the circuit ideal,
-and Groebner test sets of the binomial code ideal.
+an exhaustive table of subcode dimensions over all coordinate subsets,
+graded Betti tables of the circuit ideal, and Groebner test sets of the
+binomial code ideal.
 """
 
 from .codes import (
     Code,
     GhwSequence,
+    circuit_betti_table,
     ghw_bruteforce,
     ghw_hierarchy,
     matroid_circuits,
     minimal_support_codewords,
     subcode_dim_within,
+    subcode_dims,
 )
 from .errors import (
     CapExceeded,
@@ -63,18 +66,19 @@ from .resolution import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryMatrix", "Binomial", "BettiTable", "CapExceeded", "Code",
+    "BettiTable", "BinaryMatrix", "Binomial", "CapExceeded", "Code",
     "CosetTable", "DimensionTooSmall", "EmptyAmbient", "GhwError",
     "GhwSequence", "GroebnerBasis", "LengthCapExceeded", "MatrixParseError",
     "MonomialIdeal", "SearchReport", "TermOrder", "TheoremViolation",
     "TooFewGenerators", "VerificationReport", "WitnessPair", "ZeroCode",
-    "all_priority_orders", "betti_table_hochster", "counterexample_search",
-    "d2_from_testset", "decode", "ghw_bruteforce", "ghw_hierarchy",
-    "ghw_via_resolution", "ideal_from_supports", "kernel_basis",
-    "matroid_circuits", "min_pair_union", "min_shift_sequence", "min_shifts",
-    "minimal_support_codewords", "normal_form", "rank_of_columns",
-    "reduced_groebner_basis", "reduced_homology_dims", "restricted_faces",
-    "rref", "sample_orders", "second_weight_witness", "subcode_dim_within",
+    "all_priority_orders", "betti_table_hochster", "circuit_betti_table",
+    "counterexample_search", "d2_from_testset", "decode", "ghw_bruteforce",
+    "ghw_hierarchy", "ghw_via_resolution", "ideal_from_supports",
+    "kernel_basis", "matroid_circuits", "min_pair_union",
+    "min_shift_sequence", "min_shifts", "minimal_support_codewords",
+    "normal_form", "rank_of_columns", "reduced_groebner_basis",
+    "reduced_homology_dims", "restricted_faces", "rref", "sample_orders",
+    "second_weight_witness", "subcode_dim_within", "subcode_dims",
     "taylor_pair_minimum", "test_set", "union_testsets", "verify_code",
     "word_from_string", "word_to_string",
 ]

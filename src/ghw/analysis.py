@@ -14,7 +14,8 @@ import random
 from dataclasses import dataclass, field
 from itertools import permutations
 
-from .codes import Code, GhwSequence, ghw_hierarchy, minimal_support_codewords
+from .codes import (Code, GhwSequence, circuit_betti_table, ghw_hierarchy,
+                    minimal_support_codewords, subcode_dims)
 from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, word_to_string
 from .groebner import TermOrder, reduced_groebner_basis, test_set
@@ -30,10 +31,7 @@ from .resolution import (
 def ghw_via_resolution(c: Code) -> GhwSequence:
     """Weight hierarchy read off the Betti table of the circuit ideal:
     d_i is the smallest shift in homological degree i."""
-    ideal = ideal_from_supports(c.n, minimal_support_codewords(c))
-    table = betti_table_hochster(ideal)
-    values = min_shifts(table)
-    return GhwSequence(values, n=c.n, k=c.k)
+    return GhwSequence(min_shifts(circuit_betti_table(c)), n=c.n, k=c.k)
 
 
 @dataclass(frozen=True)
@@ -182,12 +180,22 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
     witness-support binomials, d_2 from pairs, the projective-dimension
     and shift bounds with exactness at i = 1, 2, the min-shift identity
     on the circuit ideal, hierarchy shape, and the sampled set lemma.
-    Any failed check aborts for nondegenerate codes.
+    Any failed check aborts for nondegenerate codes.  The hierarchy and
+    the circuit-ideal table share one subcode_dims table; audit also
+    sweeps the circuit ideal with betti_table_hochster and raises
+    TheoremViolation unless both tables agree.
     """
-    ghw = ghw_hierarchy(c)
+    dims = subcode_dims(c)
+    ghw = ghw_hierarchy(c, dims)
     minimal = minimal_support_codewords(c)
-    table_full = betti_table_hochster(
-        ideal_from_supports(c.n, minimal), audit=audit)
+    table_full = circuit_betti_table(c, dims)
+    if audit:
+        swept = betti_table_hochster(ideal_from_supports(c.n, minimal), audit=True)
+        if swept.entries != table_full.entries:
+            raise TheoremViolation(
+                f"circuit-ideal Betti tables differ on [{c.n},{c.k}] code: "
+                f"Hochster sweep {swept.sorted_triples()}, "
+                f"matroid table {table_full.sorted_triples()}")
     minshift_full = min_shifts(table_full)
 
     basis, _ = reduced_groebner_basis(c, o)

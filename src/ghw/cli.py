@@ -21,7 +21,7 @@ from .analysis import (
     union_testsets,
     verify_code,
 )
-from .codes import Code, ghw_hierarchy, minimal_support_codewords
+from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
 from .errors import CapExceeded, GhwError, TheoremViolation, size_cap
 from .gf2 import word_from_string, word_to_string
 from .groebner import TermOrder, decode, reduced_groebner_basis, test_set
@@ -188,7 +188,8 @@ def _cmd_betti(args) -> dict:
         params["order_count"] = len(orders)
         ideal = union_testsets(code, orders)
         result["union_size"] = len(ideal.gens)
-    table = betti_table_hochster(ideal)
+    table = (circuit_betti_table(code) if args.ideal == "stanley-reisner"
+             else betti_table_hochster(ideal))
     result.update({
         "generator_count": len(ideal.gens),
         "generators": [word_to_string(g, code.n) for g in ideal.gens],

@@ -1,20 +1,29 @@
 """Binary linear codes: codeword enumeration, minimal supports, matroid
-circuits, and the brute-force generalized-weight oracle.
+circuits, and the subcode-dimension table behind the generalized-weight
+oracle and the circuit-ideal Betti table.
 
 A code is held as a canonical (rref) generator matrix plus the derived
-parity-check matrix.  Enumeration kernels scan all 2^k codewords or all
-2^n coordinate subsets, so everything here lives under the global length
-cap enforced at construction.
+parity-check matrix.  subcode_dims gives dim C(W), the dimension of the
+subcode supported inside W, for all 2^n coordinate masks W at one byte
+per mask: one subset-sum (zeta) transform of the codeword indicator,
+O(n 2^n) field updates run on packed blocks of masks.  ghw_hierarchy
+reads d_h = min{|W| : dim C(W) >= h} off it; circuit_betti_table reads
+the Betti table of the circuit ideal off it with one Moebius transform
+more.  subcode_dim_within is the per-subset definition the tests compare
+the table with.  Everything here lives under the global length cap
+enforced at construction.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import LengthCapExceeded, TheoremViolation, ZeroCode, size_cap
+from .errors import CapExceeded, LengthCapExceeded, TheoremViolation, ZeroCode, size_cap
 from .gf2 import (BinaryMatrix, inclusion_minimal, kernel_basis, rank_of_columns,
                   rank_of_words, rref, word_to_string)
+from .resolution import BettiTable
 
 
 @dataclass(frozen=True)
@@ -89,37 +98,189 @@ def subcode_dim_within(c: Code, s: int) -> int:
     return c.k - rank_of_columns(c.generator, ~s & ((1 << c.n) - 1))
 
 
-def ghw_hierarchy(c: Code) -> "GhwSequence":
-    """All generalized Hamming weights (d_1, ..., d_k) by exhaustive scan.
+def ghw_hierarchy(c: Code, dims: bytes | None = None) -> "GhwSequence":
+    """All generalized Hamming weights (d_1, ..., d_k).
 
-    Single ascending-size sweep over coordinate subsets; d_h is the first
-    size at which some subset supports an h-dimensional subcode.
+    d_h is the smallest |W| with dim C(W) >= h, read off the subcode_dims
+    table: the largest dimension at each subset size, in one pass.  Pass
+    dims to reuse a table already built for c.
     """
-    cols = [c.generator.column(j) for j in range(c.n)]
-    values: list[int] = [0] * c.k
-    next_h = 1
-    for s in range(1, c.n + 1):
-        best = 0
-        for combo in combinations(range(c.n), c.n - s):
-            dim = c.k - rank_of_words(cols[j] for j in combo)
-            if dim > best:
-                best = dim
-                if best >= c.k:
-                    break
-        while next_h <= best:
-            values[next_h - 1] = s
-            next_h += 1
-        if next_h > c.k:
-            break
+    bits = min(_BLOCK_BITS, c.n)
+    if dims is None:
+        blocks = _dim_blocks(c, bits)
+    else:
+        blocks = (int.from_bytes(dims[i:i + (1 << bits)], "little")
+                  for i in range(0, len(dims), 1 << bits))
+    values: list[int] = []
+    for s, dim in enumerate(_largest_by_size(blocks, bits, c.n)):
+        values += [s] * (dim - len(values))  # the largest dim never shrinks with s
     return GhwSequence(tuple(values), n=c.n, k=c.k)
 
 
 def ghw_bruteforce(c: Code, h: int) -> int:
-    """d_h: minimum |S| over S with an h-dimensional subcode inside S,
-    read off ghw_hierarchy's sweep."""
+    """d_h alone: the smallest |W| with dim C(W) >= h, read off
+    ghw_hierarchy."""
     if not 1 <= h <= c.k:
         raise ValueError(f"h must be in 1..{c.k}")
     return ghw_hierarchy(c).values[h - 1]
+
+
+# A packed block is one int holding the fields of 2^_BLOCK_BITS consecutive
+# masks, field t at bits t * width .. (t + 1) * width - 1: one int operation
+# then updates thousands of masks, while each temporary stays small.
+_BLOCK_BITS = 12
+
+_BIAS = 1 << 31  # a Moebius field holds m + 2^31 in 32 bits
+
+_FACE = bytes([1]) + bytes(255)  # translate table: dim 0 -> 1, any other -> 0
+
+
+def _ones(bits: int, width: int, j: int | None = None) -> int:
+    """Packed block with a 1 in every field of width bits, or only in the
+    fields whose index has bit j clear."""
+    field = (1 << width) - 1
+    every = ((1 << (width << bits)) - 1) // field
+    if j is None:
+        return every
+    run = ((1 << (width << j)) - 1) // field  # 2^j fields, then 2^j empty
+    return run * (((1 << (width << bits)) - 1) // ((1 << (width << (j + 1))) - 1))
+
+
+def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
+    """One subset transform over packed blocks, in place.
+
+    blocks[i] holds the fields of the masks i * 2^bits ... (i + 1) * 2^bits
+    - 1.  For each coordinate j in turn and each mask m without j, the
+    field of m + {j} becomes step(field of m, field of m + {j}, ones),
+    where ones has a 1 in each field the call covers; every result must
+    fit its field.  Coordinates below bits pair the fields of one block,
+    the higher ones pair whole blocks.
+    """
+    field = (1 << width) - 1
+    low = []
+    for j in range(bits):
+        ones = _ones(bits, width, j)
+        low.append((width << j, ones * field, ones))
+    for i, x in enumerate(blocks):
+        for shift, keep, ones in low:
+            lo = x & keep
+            x = lo | step(lo, (x >> shift) & keep, ones) << shift
+        blocks[i] = x
+    ones = _ones(bits, width)
+    bit = 1
+    while bit < len(blocks):
+        for i in range(len(blocks)):
+            if i & bit:
+                blocks[i] = step(blocks[i ^ bit], blocks[i], ones)
+        bit <<= 1
+
+
+def _merge_counts(a: int, b: int, ones: int) -> int:
+    """Zeta step on byte fields e = 1 + log2(count), 0 for no codeword.
+
+    The two counts of a pair count one coset each of the same subspace,
+    so they are 0 or the same power of two, and the sum has
+    e = (a | b) + [a != 0 and b != 0].
+    """
+    return (a | b) + ((((a & b) + 127 * ones) >> 7) & ones)
+
+
+def _difference(lo: int, hi: int, ones: int) -> int:
+    """Moebius step on biased 32-bit fields: hi - lo, biased again."""
+    return hi - lo + _BIAS * ones
+
+
+def _dim_blocks(c: Code, bits: int) -> list[int]:
+    """subcode_dims of c as packed byte blocks of 2^bits masks each."""
+    low = (1 << bits) - 1
+    fill: dict[int, bytearray] = {}
+    for w in c.codewords():  # count 1 at each codeword: e = 1
+        block = fill.get(w >> bits)
+        if block is None:
+            block = fill[w >> bits] = bytearray(low + 1)
+        block[w & low] = 1
+    blocks = [int.from_bytes(fill.pop(i, b""), "little")
+              for i in range(1 << (c.n - bits))]
+    _subset_transform(blocks, bits, 8, _merge_counts)
+    every = _ones(bits, 8)
+    for i in range(len(blocks)):
+        blocks[i] -= every  # e >= 1 everywhere: the zero word lies in every W
+    return blocks
+
+
+def _largest_by_size(blocks, bits: int, n: int) -> list[int]:
+    """best[s] = the largest field over the masks of size s, for packed
+    byte blocks whose fields are all below 128."""
+    high = 0x80 * _ones(bits, 8)
+    top = [0] * (n - bits + 1)  # fieldwise max over the blocks i of each |i|
+    for i, x in enumerate(blocks):
+        y = top[i.bit_count()]
+        keep = ((((y | high) - x) & high) >> 7) * 0xFF  # 0xFF where y >= x
+        top[i.bit_count()] = (y & keep) | (x & ~keep)
+    best = [0] * (n + 1)
+    for p, y in enumerate(top):
+        for t, field in enumerate(y.to_bytes(1 << bits, "little")):
+            s = p + t.bit_count()
+            best[s] = max(best[s], field)
+    return best
+
+
+def subcode_dims(c: Code) -> bytes:
+    """dims[W] = dim C(W), the dimension of {v in C : supp(v) inside W},
+    for every coordinate mask W, one byte per mask.
+
+    One subset-sum (zeta) transform of the codeword indicator, run on
+    packed blocks of byte fields: O(n 2^n) field updates in all.
+    """
+    bits = min(_BLOCK_BITS, c.n)
+    return b"".join([x.to_bytes(1 << bits, "little") for x in _dim_blocks(c, bits)])
+
+
+def circuit_betti_table(c: Code, dims: bytes | None = None) -> BettiTable:
+    """Graded Betti table of R/I for the circuit ideal I of c, generated by
+    the supports of the minimal-support codewords.
+
+    The complex of I is the independence complex of the parity-check
+    matroid: S is a face iff dim C(S) = 0.  Every restriction of a matroid
+    complex is shellable, so its reduced homology sits in one degree
+    (Bjorner), and Hochster's formula puts all of it at
+    beta_{dim C(W), |W|}.  Its rank is the absolute value of
+    m(W) = sum over S inside W of (-1)^|W - S| [S is a face], which is
+    (-1)^dim C(W) times that rank; one Moebius transform of the face
+    indicator gives m for every W at once.  The table is the same over
+    every field.  Pass dims to reuse a subcode_dims table built for c.
+    """
+    if c.n > 30:  # |m| stays below 2^(n-1) through the transform
+        raise CapExceeded(f"length {c.n}: Moebius values need more than 32 bits")
+    if dims is None:
+        dims = subcode_dims(c)
+    bits = min(_BLOCK_BITS, c.n)
+    size = 1 << bits
+    fields = bytearray(4 * size)
+    fields[3::4] = b"\x80" * size  # m + 2^31, little-endian
+    blocks = []
+    for i in range(0, len(dims), size):
+        fields[0::4] = dims[i:i + size].translate(_FACE)
+        blocks.append(int.from_bytes(fields, "little"))
+    _subset_transform(blocks, bits, 32, _difference)
+    unbias = _BIAS * _ones(bits, 32)
+    sizes = [t.bit_count() for t in range(size)]
+    sums: dict[tuple[int, int], int] = {}
+    for i, x in enumerate(blocks):
+        p = i.bit_count()
+        ms = struct.unpack(f"<{size}i", (x ^ unbias).to_bytes(4 * size, "little"))
+        for m, dim, q in zip(ms, dims[i * size:(i + 1) * size], sizes):
+            if m:
+                key = (dim, p + q)
+                sums[key] = sums.get(key, 0) + m
+    entries = {}
+    for (dim, j), m in sums.items():
+        beta = -m if dim % 2 else m
+        if beta <= 0:
+            raise TheoremViolation(
+                f"matroid restrictions at ({dim}, {j}) have homology off the top degree")
+        entries[dim, j] = beta
+    return BettiTable(entries)
 
 
 def matroid_circuits(c: Code) -> tuple[int, ...]:

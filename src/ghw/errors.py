@@ -7,8 +7,9 @@ import os
 DEFAULT_SIZE_CAP = 24
 
 # Environment override for experimentation only; anything above 24 is
-# unsupported and can exhaust memory (the oracle and Betti kernels
-# enumerate 2^n states).
+# unsupported and can exhaust memory: the oracle holds one byte per
+# coordinate subset (16 MB at n = 24), the circuit-ideal Betti table four
+# more, and the Hochster sweep of test-set ideals grows like 3^n.
 SIZE_CAP_ENV = "GHW_SIZE_CAP"
 
 

@@ -2,6 +2,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# Every run draws the same examples: seeded from each test, and no example
+# database replaying what an earlier run found.  max_examples stays per test.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 sys.path.insert(0, str(Path(__file__).parent))
 

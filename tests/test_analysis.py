@@ -9,6 +9,7 @@ from ghw import (
     Code,
     DimensionTooSmall,
     TermOrder,
+    TheoremViolation,
     TooFewGenerators,
     all_priority_orders,
     counterexample_search,
@@ -29,6 +30,7 @@ from ghw import (
 )
 from ghw.analysis import check_symmetric_difference_lemma, symmetric_difference_triple
 from ghw.groebner import test_set as extract_testset
+from ghw.resolution import BettiTable
 
 import known_codes as kc
 from conftest import make_code
@@ -46,6 +48,26 @@ def test_ghw_via_resolution_hamming(hamming74):
 
 def test_ghw_via_resolution_code149(code149):
     assert ghw_via_resolution(code149).values == kc.CODE149_GHW
+
+
+def test_verify_audit_sweeps_the_circuit_ideal(toy63, monkeypatch):
+    """audit compares the fast circuit-ideal table with the Hochster
+    sweep: a wrong count off the min shifts passes without audit and
+    raises with it."""
+    import ghw.analysis as analysis
+
+    fast = analysis.circuit_betti_table
+
+    def top_cell_off_by_one(c, dims=None):
+        entries = dict(fast(c, dims).entries)
+        entries[max(entries)] += 1
+        return BettiTable(entries)
+
+    monkeypatch.setattr(analysis, "circuit_betti_table", top_cell_off_by_one)
+    order = TermOrder.default(6)
+    verify_code(toy63, order)
+    with pytest.raises(TheoremViolation, match="circuit-ideal Betti tables differ"):
+        verify_code(toy63, order, audit=True)
 
 
 def test_witness_worked63_order1(worked63):

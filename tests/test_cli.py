@@ -1,9 +1,10 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from ghw import BinaryMatrix, Code, MatrixParseError
+from ghw import BinaryMatrix, Code, MatrixParseError, min_pair_union
 from ghw.cli import main
 from ghw.io import (
     dumps_document,
@@ -14,6 +15,7 @@ from ghw.io import (
 from ghw.resolution import BettiTable
 
 import known_codes as kc
+from test_codes import random_code
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOY = str(FIXTURES / "toy63.txt")
@@ -58,6 +60,24 @@ def test_cli_ghw_oracle(capsys):
         "n": 6, "k": 3, "nondegenerate": True,
         "generator_rows": ["100001", "011010", "000111"],
     }
+
+
+def test_cli_oracle_at_the_size_cap(tmp_path, capsys):
+    """A seeded [24,12] code, n at the default cap, against facts read
+    off its codewords: d_1 is the minimum weight, d_2 the smallest pair
+    union, d_k the size of the support."""
+    code = random_code(random.Random(24), 24, 12)
+    path = tmp_path / "random24_12.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+    ghw = run_json(capsys, "ghw", str(path), "--route", "oracle")["result"]["ghw"]
+    words = [w for w in code.codewords() if w]
+    support = 0
+    for w in words:
+        support |= w
+    assert len(ghw) == 12
+    assert ghw[0] == min(w.bit_count() for w in words)
+    assert ghw[1] == min_pair_union(words)
+    assert ghw[-1] == support.bit_count()
 
 
 def test_cli_ghw_resolution(capsys):

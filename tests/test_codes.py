@@ -1,22 +1,32 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import ghw.codes
 from ghw import (
     BinaryMatrix,
+    CapExceeded,
     Code,
     LengthCapExceeded,
     TheoremViolation,
     ZeroCode,
+    betti_table_hochster,
+    circuit_betti_table,
     ghw_bruteforce,
     ghw_hierarchy,
+    ideal_from_supports,
     matroid_circuits,
     minimal_support_codewords,
     subcode_dim_within,
+    subcode_dims,
     word_from_string,
     word_to_string,
 )
 from ghw.codes import GhwSequence
+from ghw.gf2 import rank_of_words
 
 import known_codes as kc
 from conftest import make_code
@@ -33,6 +43,29 @@ def random_code(rng, n, k):
             continue
         if code.k == k:
             return code
+
+
+def reference_hierarchy(c):
+    """The ascending subset sweep: d_h is the first size at which some
+    subset supports an h-dimensional subcode, each subset ranked on its
+    own from the generator columns outside it."""
+    cols = [c.generator.column(j) for j in range(c.n)]
+    values: list[int] = [0] * c.k
+    next_h = 1
+    for s in range(1, c.n + 1):
+        best = 0
+        for combo in combinations(range(c.n), c.n - s):
+            dim = c.k - rank_of_words(cols[j] for j in combo)
+            if dim > best:
+                best = dim
+                if best >= c.k:
+                    break
+        while next_h <= best:
+            values[next_h - 1] = s
+            next_h += 1
+        if next_h > c.k:
+            break
+    return tuple(values)
 
 
 def brute_dim_within(code, mask):
@@ -197,3 +230,71 @@ def test_ghw_sequence_validation():
         GhwSequence((5,), n=6, k=2)  # wrong length
     with pytest.raises(TheoremViolation):
         GhwSequence((2, 4, 7), n=6, k=3)  # above the Singleton bound
+
+
+@st.composite
+def small_codes(draw):
+    """Codes with n <= 9: random rows, some degenerate (a column cleared),
+    some with a weight-1 codeword (a unit row added), some the whole
+    space (k = n)."""
+    n = draw(st.integers(1, 9))
+    shape = draw(st.sampled_from(("random", "degenerate", "weight-1", "full")))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n))
+    if shape == "degenerate":
+        dead = 1 << draw(st.integers(0, n - 1))
+        rows = [r & ~dead for r in rows]
+    elif shape == "weight-1":
+        rows.append(1 << draw(st.integers(0, n - 1)))
+    elif shape == "full":
+        rows = [1 << j for j in range(n)]
+    assume(any(rows))
+    return Code.from_generator(BinaryMatrix(tuple(rows), n))
+
+
+# Blocks of 2^2 and 2^3 masks send every longer code through the step that
+# merges whole blocks; the default block holds all 2^n masks when n <= 9.
+block_bits = st.sampled_from((2, 3, ghw.codes._BLOCK_BITS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), block_bits)
+def test_subcode_dims_match_definition(code, bits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghw.codes, "_BLOCK_BITS", bits)
+        dims = subcode_dims(code)
+    assert list(dims) == [subcode_dim_within(code, w) for w in range(1 << code.n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), block_bits)
+def test_hierarchy_matches_reference_sweep(code, bits):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghw.codes, "_BLOCK_BITS", bits)
+        alone = ghw_hierarchy(code).values
+        shared = ghw_hierarchy(code, subcode_dims(code)).values
+    assert alone == shared == reference_hierarchy(code)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_codes(), block_bits)
+def test_circuit_table_matches_hochster_sweep(code, bits):
+    ideal = ideal_from_supports(code.n, minimal_support_codewords(code))
+    swept = betti_table_hochster(ideal).entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghw.codes, "_BLOCK_BITS", bits)
+        assert circuit_betti_table(code).entries == swept
+        assert circuit_betti_table(code, subcode_dims(code)).entries == swept
+
+
+def test_circuit_table_reproduces_pinned_diagrams(toy63, code107, code149):
+    assert circuit_betti_table(toy63).entries == kc.TOY63_CIRCUIT_BETTI
+    assert circuit_betti_table(code107).entries == kc.table_from_diagram_rows(
+        kc.CODE107_CIRCUIT_DIAGRAM_ROWS)
+    assert circuit_betti_table(code149).entries == kc.table_from_diagram_rows(
+        kc.CODE149_CIRCUIT_DIAGRAM_ROWS)
+
+
+def test_circuit_table_refuses_lengths_past_32_bit_fields(monkeypatch):
+    monkeypatch.setenv("GHW_SIZE_CAP", "31")
+    with pytest.raises(CapExceeded):
+        circuit_betti_table(Code.from_generator(BinaryMatrix((1,), 31)))
