@@ -10,9 +10,7 @@ from .codes import (
     circuit_betti_table,
     ghw_bruteforce,
     ghw_hierarchy,
-    matroid_circuits,
     minimal_support_codewords,
-    subcode_dim_within,
     subcode_dims,
 )
 from .errors import (
@@ -26,7 +24,7 @@ from .errors import (
     TooFewGenerators,
     ZeroCode,
 )
-from .gf2 import BinaryMatrix, kernel_basis, rank_of_columns, rref, word_from_string, word_to_string
+from .gf2 import BinaryMatrix, kernel_basis, rref, word_from_string, word_to_string
 from .groebner import (
     Binomial,
     CosetTable,
@@ -60,7 +58,6 @@ from .resolution import (
     min_shifts,
     reduced_homology_dims,
     restricted_faces,
-    taylor_pair_minimum,
 )
 
 __version__ = "0.1.0"
@@ -74,11 +71,9 @@ __all__ = [
     "all_priority_orders", "betti_table_hochster", "circuit_betti_table",
     "counterexample_search", "d2_from_testset", "decode", "ghw_bruteforce",
     "ghw_hierarchy", "ghw_via_resolution", "ideal_from_supports",
-    "kernel_basis", "matroid_circuits", "min_pair_union",
-    "min_shift_sequence", "min_shifts", "minimal_support_codewords",
-    "normal_form", "rank_of_columns", "reduced_groebner_basis",
+    "kernel_basis", "min_pair_union", "min_shift_sequence", "min_shifts",
+    "minimal_support_codewords", "normal_form", "reduced_groebner_basis",
     "reduced_homology_dims", "restricted_faces", "rref", "sample_orders",
-    "second_weight_witness", "subcode_dim_within", "subcode_dims",
-    "taylor_pair_minimum", "test_set", "union_testsets", "verify_code",
-    "word_from_string", "word_to_string",
+    "second_weight_witness", "subcode_dims", "test_set", "union_testsets",
+    "verify_code", "word_from_string", "word_to_string",
 ]

@@ -38,23 +38,15 @@ def ghw_via_resolution(c: Code) -> GhwSequence:
 class WitnessPair:
     """The two order-minimal codewords whose span realizes d_2.
 
-    Over GF(2) a codeword equals its support mask, so support_i/support_j
-    are the masks themselves.  m1 is the order-minimal word among those
-    belonging to a d_2-realizing pair; m2 is the order-minimal partner
-    completing such a pair with m1.
+    Over GF(2) a codeword equals its support mask, so m1 and m2 are the
+    supports too.  m1 is the order-minimal word among those belonging to
+    a d_2-realizing pair; m2 is the order-minimal partner completing such
+    a pair with m1.
     """
 
     m1: int
     m2: int
     order: TermOrder
-
-    @property
-    def support_i(self) -> int:
-        return self.m1
-
-    @property
-    def support_j(self) -> int:
-        return self.m2
 
     @property
     def union_size(self) -> int:
@@ -180,13 +172,25 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
     witness-support binomials, d_2 from pairs, the projective-dimension
     and shift bounds with exactness at i = 1, 2, the min-shift identity
     on the circuit ideal, hierarchy shape, and the sampled set lemma.
-    Any failed check aborts for nondegenerate codes.  The hierarchy and
-    the circuit-ideal table share one subcode_dims table; audit also
-    sweeps the circuit ideal with betti_table_hochster and raises
-    TheoremViolation unless both tables agree.
+    Any failed check aborts for nondegenerate codes.  audit also sweeps
+    the circuit ideal with betti_table_hochster and raises
+    TheoremViolation unless it agrees with the fast table.
+    """
+    check_symmetric_difference_lemma(c.n, lemma_trials, seed=seed)
+    report, = _verify_orders(c, [o], audit)
+    return report
+
+
+def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
+    """Yield the verify_code report of c under each order in turn.
+
+    The hierarchy, the minimal supports and the circuit table (swept
+    again under audit) depend on the code alone and are built once; the
+    basis, the test set and its table, and the witness are built per
+    order.  The caller runs the set lemma, which depends on neither.
     """
     dims = subcode_dims(c)
-    ghw = ghw_hierarchy(c, dims)
+    d = ghw_hierarchy(c, dims).values
     minimal = minimal_support_codewords(c)
     table_full = circuit_betti_table(c, dims)
     if audit:
@@ -197,79 +201,78 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
                 f"Hochster sweep {swept.sorted_triples()}, "
                 f"matroid table {table_full.sorted_triples()}")
     minshift_full = min_shifts(table_full)
-
-    basis, _ = reduced_groebner_basis(c, o)
-    words = test_set(basis, c)
-    table_ts = betti_table_hochster(
-        ideal_from_supports(c.n, words), audit=audit)
-    minshift_ts = min_shifts(table_ts)
-    pd_ts = table_ts.pd
-
-    d = ghw.values
-    checks: dict[str, bool] = {}
     minimal_set = set(minimal)
-    checks["testset_subset_minimal_supports"] = all(w in minimal_set for w in words)
-    checks["testset_contains_d1_word"] = min(w.bit_count() for w in words) == d[0]
-    checks["standard_form"] = not basis.standard_form_violations
 
-    witness_m1 = witness_m2 = ""
-    if c.k >= 2:
-        pair = second_weight_witness(c, o)
-        witness_m1 = word_to_string(pair.m1, c.n)
-        witness_m2 = word_to_string(pair.m2, c.n)
-        supports = {b.support for b in basis.binomials}
-        checks["witness_support_i_in_basis"] = pair.support_i in supports
-        checks["witness_support_j_in_basis"] = pair.support_j in supports
-        checks["witness_intersection_bound"] = (
-            2 * (pair.m1 & pair.m2).bit_count() <= pair.m1.bit_count()
-            <= pair.m2.bit_count())
-        checks["d2_from_pairs"] = min_pair_union(words) == d[1]
+    for o in orders:
+        basis, _ = reduced_groebner_basis(c, o)
+        words = test_set(basis, c)
+        table_ts = betti_table_hochster(
+            ideal_from_supports(c.n, words), audit=audit)
+        minshift_ts = min_shifts(table_ts)
+        pd_ts = table_ts.pd
 
-    checks["pd_testset_at_most_k"] = pd_ts <= c.k
-    checks["shifts_bound_ghw"] = all(
-        d[i - 1] <= j for i, j in zip(range(1, pd_ts + 1), minshift_ts))
-    checks["exact_at_i1"] = len(minshift_ts) >= 1 and minshift_ts[0] == d[0]
-    if c.k >= 2:
-        checks["exact_at_i2"] = len(minshift_ts) >= 2 and minshift_ts[1] == d[1]
-    checks["circuit_ideal_minshifts_are_ghw"] = (
-        minshift_full == d and table_full.pd == c.k)
-    checks["hierarchy_shape"] = True  # enforced by GhwSequence construction
-    check_symmetric_difference_lemma(c.n, lemma_trials, seed=seed)
-    checks["symmetric_difference_lemma"] = True
+        checks: dict[str, bool] = {}
+        checks["testset_subset_minimal_supports"] = all(w in minimal_set for w in words)
+        checks["testset_contains_d1_word"] = min(w.bit_count() for w in words) == d[0]
+        checks["standard_form"] = not basis.standard_form_violations
 
-    agreement = tuple(
-        i <= len(minshift_ts) and minshift_ts[i - 1] == d[i - 1]
-        for i in range(1, c.k + 1))
-    exact_i3 = None
-    if c.k >= 3:
-        exact_i3 = agreement[2]
+        witness_m1 = witness_m2 = ""
+        if c.k >= 2:
+            pair = second_weight_witness(c, o)
+            witness_m1 = word_to_string(pair.m1, c.n)
+            witness_m2 = word_to_string(pair.m2, c.n)
+            supports = {b.support for b in basis.binomials}
+            checks["witness_support_i_in_basis"] = pair.m1 in supports
+            checks["witness_support_j_in_basis"] = pair.m2 in supports
+            checks["witness_intersection_bound"] = (
+                2 * (pair.m1 & pair.m2).bit_count() <= pair.m1.bit_count()
+                <= pair.m2.bit_count())
+            checks["d2_from_pairs"] = min_pair_union(words) == d[1]
 
-    report = VerificationReport(
-        n=c.n,
-        k=c.k,
-        generator_rows=tuple(c.generator.row_strings()),
-        order=o.describe(),
-        degenerate=not c.nondegenerate,
-        ghw=d,
-        minshift_full=minshift_full,
-        minshift_testset=minshift_ts,
-        pd_testset=pd_ts,
-        testset_size=len(words),
-        basis_size=basis.total_size(),
-        witness_m1=witness_m1,
-        witness_m2=witness_m2,
-        checks=checks,
-        agreement_by_index=agreement,
-        exact_through_i3=exact_i3,
-        full_agreement=all(agreement),
-        pd_equals_k=pd_ts == c.k,
-    )
-    failed = sorted(name for name, ok in checks.items() if not ok)
-    if failed and c.nondegenerate:
-        raise TheoremViolation(
-            f"proven checks failed on [{c.n},{c.k}] code under {o.describe()}: "
-            f"{', '.join(failed)}; report={report.as_dict()}")
-    return report
+        checks["pd_testset_at_most_k"] = pd_ts <= c.k
+        checks["shifts_bound_ghw"] = all(
+            d[i - 1] <= j for i, j in zip(range(1, pd_ts + 1), minshift_ts))
+        checks["exact_at_i1"] = len(minshift_ts) >= 1 and minshift_ts[0] == d[0]
+        if c.k >= 2:
+            checks["exact_at_i2"] = len(minshift_ts) >= 2 and minshift_ts[1] == d[1]
+        checks["circuit_ideal_minshifts_are_ghw"] = (
+            minshift_full == d and table_full.pd == c.k)
+        checks["hierarchy_shape"] = True  # enforced by GhwSequence construction
+        checks["symmetric_difference_lemma"] = True  # run by the caller
+
+        agreement = tuple(
+            i <= len(minshift_ts) and minshift_ts[i - 1] == d[i - 1]
+            for i in range(1, c.k + 1))
+        exact_i3 = None
+        if c.k >= 3:
+            exact_i3 = agreement[2]
+
+        report = VerificationReport(
+            n=c.n,
+            k=c.k,
+            generator_rows=tuple(c.generator.row_strings()),
+            order=o.describe(),
+            degenerate=not c.nondegenerate,
+            ghw=d,
+            minshift_full=minshift_full,
+            minshift_testset=minshift_ts,
+            pd_testset=pd_ts,
+            testset_size=len(words),
+            basis_size=basis.total_size(),
+            witness_m1=witness_m1,
+            witness_m2=witness_m2,
+            checks=checks,
+            agreement_by_index=agreement,
+            exact_through_i3=exact_i3,
+            full_agreement=all(agreement),
+            pd_equals_k=pd_ts == c.k,
+        )
+        failed = sorted(name for name, ok in checks.items() if not ok)
+        if failed and c.nondegenerate:
+            raise TheoremViolation(
+                f"proven checks failed on [{c.n},{c.k}] code under {o.describe()}: "
+                f"{', '.join(failed)}; report={report.as_dict()}")
+        yield report
 
 
 @dataclass
@@ -307,20 +310,22 @@ class SearchReport:
 
 def counterexample_search(n: int, k: int, trials: int, seed: int,
                           orders: list[TermOrder] | None = None,
-                          inject: tuple[BinaryMatrix, ...] = (),
-                          lemma_trials: int = 20) -> SearchReport:
+                          inject: tuple[BinaryMatrix, ...] = ()) -> SearchReport:
     """Sample random [n, k] codes and hunt for test-set/hierarchy mismatches.
 
     Candidate generator matrices are uniform k x n bit matrices, rejected
     (and counted) when rank-deficient or degenerate.  Injected matrices
     are evaluated before the random stream and marked in the output.
     Each trial draws its own generator from (seed, index), so results do
-    not depend on evaluation schedule.
+    not depend on evaluation schedule.  Each evaluated code is verified
+    under every order, its per-code facts built once; the set lemma,
+    which does not depend on the code, runs once per search.
     """
     if not orders:
         orders = [TermOrder.default(n)]
     report = SearchReport(n=n, k=k, trials=trials, seed=seed,
                           orders=tuple(o.describe() for o in orders))
+    check_symmetric_difference_lemma(n, 20, seed=seed)
 
     def consider(matrix: BinaryMatrix, label: str) -> None:
         try:
@@ -335,15 +340,14 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
             report.skipped_degenerate += 1
             return
         report.evaluated += 1
-        for o in orders:
-            res = verify_code(code, o, lemma_trials=lemma_trials, seed=seed)
+        for res in _verify_orders(code, orders):
             if res.exact_through_i3 is False:
                 report.exactness_i3_failures += 1
             if not res.full_agreement:
                 report.flagged.append({
                     "trial": label,
                     "matrix": [" ".join(row) for row in code.generator.row_strings()],
-                    "order": o.describe(),
+                    "order": res.order,
                     "ghw": list(res.ghw),
                     "minshift_testset": list(res.minshift_testset),
                     "pd_testset": res.pd_testset,

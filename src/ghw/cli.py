@@ -35,6 +35,10 @@ from .io import (
 from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence, min_shifts
 
 
+# Longest code for --all-orders: n = 10 lists 2 * 10! orders, 1.6 GB.
+_ALL_ORDERS_MAX_N = 9
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep that for caps
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -118,7 +122,7 @@ def _load_code(path: str) -> Code:
     return code
 
 
-def _cmd_ghw(args) -> dict:
+def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "route": args.route}
     if args.route in ("oracle", "resolution"):
@@ -156,11 +160,10 @@ def _cmd_ghw(args) -> dict:
             "display": display,
             "note": note,
         }
-    return build_document("ghw", params, _code_info(code), result,
-                          time.perf_counter() - args._t0, __version__)
+    return params, _code_info(code), result
 
 
-def _cmd_betti(args) -> dict:
+def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "ideal": args.ideal}
     result: dict = {"ideal": args.ideal}
@@ -179,6 +182,11 @@ def _cmd_betti(args) -> dict:
             orders = [_parse_order_spec(s, code.n) for s in args.use_order]
             params["orders"] = "explicit"
         elif args.all_orders or (code.n <= 7 and not args.sample_orders):
+            if code.n > _ALL_ORDERS_MAX_N:
+                raise CapExceeded(
+                    f"--all-orders at n={code.n} means 2*{code.n}! orders, "
+                    f"one Groebner basis each; above n={_ALL_ORDERS_MAX_N} "
+                    f"use --sample-orders N or --use-order")
             orders = list(all_priority_orders(code.n))
             params["orders"] = "all-permutations"
         else:
@@ -198,11 +206,10 @@ def _cmd_betti(args) -> dict:
         "min_shift_sequence": [[i, j] for i, j in min_shift_sequence(table)],
         "diagram": render_betti_diagram(table),
     })
-    return build_document("betti", params, _code_info(code), result,
-                          time.perf_counter() - args._t0, __version__)
+    return params, _code_info(code), result
 
 
-def _cmd_gb(args) -> dict:
+def _cmd_gb(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order)}
@@ -220,11 +227,10 @@ def _cmd_gb(args) -> dict:
         "test_set": [word_to_string(w, code.n) for w in words],
         "test_set_size": len(words),
     }
-    return build_document("gb", params, _code_info(code), result,
-                          time.perf_counter() - args._t0, __version__)
+    return params, _code_info(code), result
 
 
-def _cmd_decode(args) -> dict:
+def _cmd_decode(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
@@ -243,22 +249,19 @@ def _cmd_decode(args) -> dict:
         "decoded": word_to_string(codeword, code.n),
         "error_weight": weight,
     }
-    return build_document("decode", params, _code_info(code), result,
-                          time.perf_counter() - args._t0, __version__)
+    return params, _code_info(code), result
 
 
-def _cmd_verify(args) -> dict:
+def _cmd_verify(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
               "seed": args.seed}
     report = verify_code(code, order, seed=args.seed)
-    return build_document("verify", params, _code_info(code),
-                          report.as_dict(),
-                          time.perf_counter() - args._t0, __version__)
+    return params, _code_info(code), report.as_dict()
 
 
-def _cmd_search(args) -> dict:
+def _cmd_search(args) -> tuple[dict, dict | None, dict]:
     if args.n > size_cap():
         raise CapExceeded(f"--n {args.n} exceeds cap {size_cap()}")
     if args.k > args.n:
@@ -277,8 +280,7 @@ def _cmd_search(args) -> dict:
               "injected": len(inject)}
     report = counterexample_search(args.n, args.k, args.trials, args.seed,
                                    orders=orders, inject=inject)
-    return build_document("search", params, None, report.as_dict(),
-                          time.perf_counter() - args._t0, __version__)
+    return params, None, report.as_dict()
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -360,9 +362,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    args._t0 = time.perf_counter()
+    t0 = time.perf_counter()
     try:
-        doc = args.func(args)
+        params, code_info, result = args.func(args)
     except CapExceeded as exc:
         print(f"ghw: size cap exceeded: {exc}", file=sys.stderr)
         return 2
@@ -372,6 +374,8 @@ def main(argv=None) -> int:
     except (GhwError, OSError) as exc:
         print(f"ghw: {exc}", file=sys.stderr)
         return 1
+    doc = build_document(args.command, params, code_info, result,
+                         time.perf_counter() - t0, __version__)
     text = dumps_document(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -1,6 +1,6 @@
-"""Binary linear codes: codeword enumeration, minimal supports, matroid
-circuits, and the subcode-dimension table behind the generalized-weight
-oracle and the circuit-ideal Betti table.
+"""Binary linear codes: codeword enumeration, minimal supports, and the
+subcode-dimension table behind the generalized-weight oracle and the
+circuit-ideal Betti table.
 
 A code is held as a canonical (rref) generator matrix plus the derived
 parity-check matrix.  subcode_dims gives dim C(W), the dimension of the
@@ -9,20 +9,18 @@ per mask: one subset-sum (zeta) transform of the codeword indicator,
 O(n 2^n) field updates run on packed blocks of masks.  ghw_hierarchy
 reads d_h = min{|W| : dim C(W) >= h} off it; circuit_betti_table reads
 the Betti table of the circuit ideal off it with one Moebius transform
-more.  subcode_dim_within is the per-subset definition the tests compare
-the table with.  Everything here lives under the global length cap
-enforced at construction.
+more.  Everything here lives under the global length cap enforced at
+construction.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache
 
 from .errors import CapExceeded, LengthCapExceeded, TheoremViolation, ZeroCode, size_cap
-from .gf2 import (BinaryMatrix, inclusion_minimal, kernel_basis, rank_of_columns,
-                  rank_of_words, rref, word_to_string)
+from .gf2 import BinaryMatrix, inclusion_minimal, kernel_basis, rref
 from .resolution import BettiTable
 
 
@@ -89,15 +87,6 @@ def minimal_support_codewords(c: Code) -> tuple[int, ...]:
     return inclusion_minimal((w for w in c.codewords() if w), c.n)
 
 
-def subcode_dim_within(c: Code, s: int) -> int:
-    """Dimension of {v in C : supp(v) subset of s}.
-
-    Equals k minus the rank of the generator columns outside s: the
-    subcode is the kernel of the projection onto those coordinates.
-    """
-    return c.k - rank_of_columns(c.generator, ~s & ((1 << c.n) - 1))
-
-
 def ghw_hierarchy(c: Code, dims: bytes | None = None) -> "GhwSequence":
     """All generalized Hamming weights (d_1, ..., d_k).
 
@@ -135,6 +124,7 @@ _BIAS = 1 << 31  # a Moebius field holds m + 2^31 in 32 bits
 _FACE = bytes([1]) + bytes(255)  # translate table: dim 0 -> 1, any other -> 0
 
 
+@cache  # one big-int division per shape, not one per transform
 def _ones(bits: int, width: int, j: int | None = None) -> int:
     """Packed block with a 1 in every field of width bits, or only in the
     fields whose index has bit j clear."""
@@ -281,29 +271,6 @@ def circuit_betti_table(c: Code, dims: bytes | None = None) -> BettiTable:
                 f"matroid restrictions at ({dim}, {j}) have homology off the top degree")
         entries[dim, j] = beta
     return BettiTable(entries)
-
-
-def matroid_circuits(c: Code) -> tuple[int, ...]:
-    """Minimal dependent column sets of the parity-check matrix.
-
-    Computed directly from parity-column ranks, independently of the
-    codeword route: subsets ascend by size, supersets of found circuits
-    are skipped, and a remaining subset is a circuit iff its columns are
-    dependent.  Circuits have size at most rank(parity) + 1.
-    """
-    cols = [c.parity.column(j) for j in range(c.n)]
-    circuits: list[int] = []
-    max_size = min(c.n, c.parity.nrows + 1)
-    for s in range(1, max_size + 1):
-        for combo in combinations(range(c.n), s):
-            mask = 0
-            for j in combo:
-                mask |= 1 << j
-            if any(circ & mask == circ for circ in circuits):
-                continue
-            if rank_of_words(cols[j] for j in combo) < s:
-                circuits.append(mask)
-    return tuple(sorted(circuits, key=lambda w: word_to_string(w, c.n)))
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,6 @@ def inclusion_minimal(masks, n: int) -> tuple[int, ...]:
     return tuple(sorted(minimal, key=lambda w: word_to_string(w, n)))
 
 
-def bits_of(mask: int):
-    """Yield the 0-based set-bit positions of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def rank_of_words(words) -> int:
     """GF(2) rank of a collection of int words (xor-basis elimination)."""
     basis: dict[int, int] = {}
@@ -158,12 +150,3 @@ def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
                 v |= 1 << pc
         rows.append(v)
     return BinaryMatrix(tuple(rows), m.ncols)
-
-
-def rank_of_columns(m: BinaryMatrix, cols: int) -> int:
-    """Rank of the submatrix formed by the columns selected in the mask.
-
-    Equals popcount(cols) exactly when the selected columns are linearly
-    independent.  Monotone nondecreasing in the selection.
-    """
-    return rank_of_words(m.column(j) for j in bits_of(cols))

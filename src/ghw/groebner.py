@@ -22,8 +22,6 @@ from .codes import Code
 from .errors import CapExceeded, TheoremViolation, size_cap
 from .gf2 import word_to_string
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 
 @dataclass(frozen=True)
 class TermOrder:
@@ -67,12 +65,6 @@ class TermOrder:
         for idx in reversed(self.priority):
             t = (t << 1) | ((word >> idx) & 1)
         return (word.bit_count(), -t)
-
-    def compare(self, a: int, b: int) -> int:
-        """LESS, EQUAL or GREATER for a versus b."""
-        if a == b:
-            return EQUAL
-        return LESS if self.sort_key(a) < self.sort_key(b) else GREATER
 
     def min_word(self, words) -> int:
         return min(words, key=self.sort_key)

@@ -71,23 +71,6 @@ def render_betti_diagram(table: BettiTable) -> str:
     return "\n".join(lines)
 
 
-def parse_betti_diagram(text: str) -> BettiTable:
-    """Inverse of render_betti_diagram (zero cells are dropped)."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    entries: dict[tuple[int, int], int] = {}
-    cols = [int(tok) for tok in lines[0].split()]
-    for line in lines[1:]:
-        label, _, cells = line.partition("|")
-        r = int(label)
-        values = [int(tok) for tok in cells.split()]
-        if len(values) != len(cols):
-            raise ValueError(f"row {r} has {len(values)} cells, expected {len(cols)}")
-        for i, beta in zip(cols, values):
-            if beta:
-                entries[(i, i + r)] = beta
-    return BettiTable(entries)
-
-
 def betti_triples(table: BettiTable) -> list[dict]:
     return [{"i": i, "j": j, "beta": b} for i, j, b in table.sorted_triples()]
 

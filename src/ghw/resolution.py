@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyAmbient, TheoremViolation, TooFewGenerators, size_cap
-from .gf2 import inclusion_minimal
+from .gf2 import inclusion_minimal, rank_of_words
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ class BettiTable:
 
     def sorted_triples(self) -> list[tuple[int, int, int]]:
         return sorted((i, j, b) for (i, j), b in self.entries.items())
-
-    def alternating_sums_by_shift(self) -> dict[int, int]:
-        """j -> sum_i (-1)^i beta_{i,j}, the K-polynomial coefficients."""
-        out: dict[int, int] = {}
-        for (i, j), b in self.entries.items():
-            out[j] = out.get(j, 0) + (b if i % 2 == 0 else -b)
-        return {j: v for j, v in out.items() if v}
 
 
 def ideal_from_supports(n: int, supports) -> MonomialIdeal:
@@ -127,25 +120,18 @@ def _gf2_boundary_ranks(by_size: list[list[int]]) -> list[int]:
         cols = by_size[s]
         if not cols:
             break
-        index = {m: i for i, m in enumerate(by_size[s - 1])}
-        basis: dict[int, int] = {}
-        r = 0
-        for c in cols:
+        index = {m: 1 << i for i, m in enumerate(by_size[s - 1])}
+
+        def boundary(c: int) -> int:
             v = 0
             m = c
             while m:
                 low = m & -m
-                v |= 1 << index[c ^ low]
+                v |= index[c ^ low]
                 m ^= low
-            while v:
-                t = v.bit_length() - 1
-                row = basis.get(t)
-                if row is None:
-                    basis[t] = v
-                    r += 1
-                    break
-                v ^= row
-        ranks[s] = r
+            return v
+
+        ranks[s] = rank_of_words(map(boundary, cols))
     return ranks
 
 
@@ -274,9 +260,3 @@ def min_pair_union(masks) -> int:
             if size < best:
                 best = size
     return best
-
-
-def taylor_pair_minimum(ideal: MonomialIdeal) -> int:
-    """Smallest second-step shift of the Taylor resolution: the minimum
-    support-union size over generator pairs."""
-    return min_pair_union(ideal.gens)

@@ -11,6 +11,7 @@ from ghw import (
     TermOrder,
     TheoremViolation,
     TooFewGenerators,
+    ZeroCode,
     all_priority_orders,
     counterexample_search,
     d2_from_testset,
@@ -22,7 +23,6 @@ from ghw import (
     reduced_groebner_basis,
     sample_orders,
     second_weight_witness,
-    subcode_dim_within,
     union_testsets,
     verify_code,
     word_from_string,
@@ -34,7 +34,7 @@ from ghw.resolution import BettiTable
 
 import known_codes as kc
 from conftest import make_code
-from test_codes import random_code
+from test_codes import random_code, subcode_dim_within
 
 
 def test_ghw_via_resolution_toy(toy63):
@@ -92,8 +92,8 @@ def test_witness_supports_occur_in_basis(worked63):
         pair = second_weight_witness(worked63, order)
         basis, _ = reduced_groebner_basis(worked63, order)
         supports = {b.support for b in basis.binomials}
-        assert pair.support_i in supports
-        assert pair.support_j in supports
+        assert pair.m1 in supports
+        assert pair.m2 in supports
         assert 2 * (pair.m1 & pair.m2).bit_count() <= pair.m1.bit_count() \
             <= pair.m2.bit_count()
 
@@ -248,6 +248,61 @@ def test_search_small_random_run_completes_without_violations():
     report = counterexample_search(8, 4, trials=40, seed=99)
     assert report.evaluated > 20
     assert report.flagged_always_pd_below_k
+
+
+def test_search_builds_code_facts_once_per_code(monkeypatch):
+    """Under three orders, the code-only tables are built once per
+    evaluated code and the set lemma once per search."""
+    import ghw.analysis as analysis
+
+    calls = dict.fromkeys(("subcode_dims", "circuit_betti_table",
+                           "check_symmetric_difference_lemma"), 0)
+    for name in calls:
+        def counted(*args, _real=getattr(analysis, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    report = counterexample_search(8, 5, trials=10, seed=2,
+                                   orders=sample_orders(8, 3, seed=2))
+    assert report.evaluated >= 5
+    assert calls == {"subcode_dims": report.evaluated,
+                     "circuit_betti_table": report.evaluated,
+                     "check_symmetric_difference_lemma": 1}
+
+
+@pytest.mark.parametrize("n, k, seed, order_count", [
+    (8, 5, 2, 1), (8, 6, 4, 2), (9, 6, 1, 3), (9, 7, 4, 3)])
+def test_multi_order_search_matches_per_order_verify(n, k, seed, order_count):
+    orders = sample_orders(n, order_count, seed=seed)
+    trials = 12
+    report = counterexample_search(n, k, trials, seed, orders=orders)
+    flagged = []
+    i3_failures = 0
+    for t in range(trials):
+        rng = random.Random(seed * 1_000_003 + t)
+        rows = tuple(rng.getrandbits(n) for _ in range(k))
+        try:
+            code = Code.from_generator(BinaryMatrix(rows, n))
+        except ZeroCode:
+            continue
+        if code.k < k or not code.nondegenerate:
+            continue
+        for o in orders:
+            res = verify_code(code, o, seed=seed)
+            i3_failures += res.exact_through_i3 is False
+            if not res.full_agreement:
+                flagged.append({
+                    "trial": f"random:{t}",
+                    "matrix": [" ".join(row) for row in code.generator.row_strings()],
+                    "order": o.describe(),
+                    "ghw": list(res.ghw),
+                    "minshift_testset": list(res.minshift_testset),
+                    "pd_testset": res.pd_testset,
+                    "k": code.k,
+                    "exact_through_i3": res.exact_through_i3,
+                })
+    assert report.flagged == flagged
+    assert report.exactness_i3_failures == i3_failures
 
 
 def test_search_random_run_is_deterministic():

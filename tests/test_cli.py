@@ -6,12 +6,7 @@ import pytest
 
 from ghw import BinaryMatrix, Code, MatrixParseError, min_pair_union
 from ghw.cli import main
-from ghw.io import (
-    dumps_document,
-    parse_betti_diagram,
-    parse_matrix_text,
-    render_betti_diagram,
-)
+from ghw.io import dumps_document, parse_matrix_text, render_betti_diagram
 from ghw.resolution import BettiTable
 
 import known_codes as kc
@@ -22,6 +17,23 @@ TOY = str(FIXTURES / "toy63.txt")
 WORKED = str(FIXTURES / "worked63.txt")
 REP31 = str(FIXTURES / "rep31.txt")
 C107 = str(FIXTURES / "code107.txt")
+
+
+def parse_betti_diagram(text: str) -> BettiTable:
+    """Inverse of render_betti_diagram (zero cells are dropped)."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    entries: dict[tuple[int, int], int] = {}
+    cols = [int(tok) for tok in lines[0].split()]
+    for line in lines[1:]:
+        label, _, cells = line.partition("|")
+        r = int(label)
+        values = [int(tok) for tok in cells.split()]
+        if len(values) != len(cols):
+            raise ValueError(f"row {r} has {len(values)} cells, expected {len(cols)}")
+        for i, beta in zip(cols, values):
+            if beta:
+                entries[(i, i + r)] = beta
+    return BettiTable(entries)
 
 
 def run_cli(capsys, *argv):
@@ -283,6 +295,15 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+def test_cli_all_orders_refused_above_n9(capsys):
+    """2 * 10! orders would take gigabytes before the first basis."""
+    rc, out, err = run_cli(capsys, "betti", C107, "--ideal", "union-testsets",
+                           "--all-orders")
+    assert rc == 2
+    assert out == ""
+    assert "--sample-orders" in err and "--use-order" in err
+
+
 def test_cli_search_length_above_cap(capsys, monkeypatch):
     monkeypatch.setenv("GHW_SIZE_CAP", "8")
     rc, out, err = run_cli(capsys, "search", "--n", "9", "--k", "2",
@@ -339,3 +360,21 @@ def test_public_api_resolves():
 
     for name in ghw.__all__:
         assert getattr(ghw, name) is not None
+
+    # test-only code lives next to its tests; pure aliases are gone
+    import ghw.analysis, ghw.codes, ghw.gf2, ghw.groebner, ghw.io, ghw.resolution
+    gone = {
+        ghw.codes: ("matroid_circuits", "subcode_dim_within"),
+        ghw.gf2: ("rank_of_columns", "bits_of"),
+        ghw.io: ("parse_betti_diagram",),
+        ghw.resolution: ("taylor_pair_minimum",),
+        ghw.groebner: ("LESS", "EQUAL", "GREATER"),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert not hasattr(module, name), name
+            assert not hasattr(ghw, name), name
+    assert not hasattr(ghw.resolution.BettiTable, "alternating_sums_by_shift")
+    assert not hasattr(ghw.groebner.TermOrder, "compare")
+    assert not hasattr(ghw.analysis.WitnessPair, "support_i")
+    assert not hasattr(ghw.analysis.WitnessPair, "support_j")

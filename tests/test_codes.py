@@ -18,9 +18,7 @@ from ghw import (
     ghw_bruteforce,
     ghw_hierarchy,
     ideal_from_supports,
-    matroid_circuits,
     minimal_support_codewords,
-    subcode_dim_within,
     subcode_dims,
     word_from_string,
     word_to_string,
@@ -30,6 +28,7 @@ from ghw.gf2 import rank_of_words
 
 import known_codes as kc
 from conftest import make_code
+from test_gf2 import rank_of_columns
 
 
 def random_code(rng, n, k):
@@ -66,6 +65,38 @@ def reference_hierarchy(c):
         if next_h > c.k:
             break
     return tuple(values)
+
+
+def subcode_dim_within(c: Code, s: int) -> int:
+    """Dimension of {v in C : supp(v) subset of s}.
+
+    Equals k minus the rank of the generator columns outside s: the
+    subcode is the kernel of the projection onto those coordinates.
+    """
+    return c.k - rank_of_columns(c.generator, ~s & ((1 << c.n) - 1))
+
+
+def matroid_circuits(c: Code) -> tuple[int, ...]:
+    """Minimal dependent column sets of the parity-check matrix.
+
+    Computed directly from parity-column ranks, independently of the
+    codeword route: subsets ascend by size, supersets of found circuits
+    are skipped, and a remaining subset is a circuit iff its columns are
+    dependent.  Circuits have size at most rank(parity) + 1.
+    """
+    cols = [c.parity.column(j) for j in range(c.n)]
+    circuits: list[int] = []
+    max_size = min(c.n, c.parity.nrows + 1)
+    for s in range(1, max_size + 1):
+        for combo in combinations(range(c.n), s):
+            mask = 0
+            for j in combo:
+                mask |= 1 << j
+            if any(circ & mask == circ for circ in circuits):
+                continue
+            if rank_of_words(cols[j] for j in combo) < s:
+                circuits.append(mask)
+    return tuple(sorted(circuits, key=lambda w: word_to_string(w, c.n)))
 
 
 def brute_dim_within(code, mask):

@@ -2,10 +2,27 @@ import random
 
 import pytest
 
-from ghw import BinaryMatrix, kernel_basis, rank_of_columns, rref, word_from_string, word_to_string
-from ghw.gf2 import bits_of, rank_of_words
+from ghw import BinaryMatrix, kernel_basis, rref, word_from_string, word_to_string
+from ghw.gf2 import rank_of_words
 
 import known_codes as kc
+
+
+def bits_of(mask: int):
+    """Yield the 0-based set-bit positions of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def rank_of_columns(m: BinaryMatrix, cols: int) -> int:
+    """Rank of the submatrix formed by the columns selected in the mask.
+
+    Equals popcount(cols) exactly when the selected columns are linearly
+    independent.  Monotone nondecreasing in the selection.
+    """
+    return rank_of_words(m.column(j) for j in bits_of(cols))
 
 
 def span_size_rank(rows):
