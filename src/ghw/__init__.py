@@ -56,8 +56,6 @@ from .resolution import (
     min_pair_union,
     min_shift_sequence,
     min_shifts,
-    reduced_homology_dims,
-    restricted_faces,
 )
 
 __version__ = "0.1.0"
@@ -73,7 +71,7 @@ __all__ = [
     "ghw_hierarchy", "ghw_via_resolution", "ideal_from_supports",
     "kernel_basis", "min_pair_union", "min_shift_sequence", "min_shifts",
     "minimal_support_codewords", "normal_form", "reduced_groebner_basis",
-    "reduced_homology_dims", "restricted_faces", "rref", "sample_orders",
-    "second_weight_witness", "subcode_dims", "test_set", "union_testsets",
-    "verify_code", "word_from_string", "word_to_string",
+    "rref", "sample_orders", "second_weight_witness", "subcode_dims",
+    "test_set", "union_testsets", "verify_code", "word_from_string",
+    "word_to_string",
 ]

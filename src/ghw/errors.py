@@ -8,8 +8,9 @@ DEFAULT_SIZE_CAP = 24
 
 # Environment override for experimentation only; anything above 24 is
 # unsupported and can exhaust memory: the oracle holds one byte per
-# coordinate subset (16 MB at n = 24), the circuit-ideal Betti table four
-# more, and the Hochster sweep of test-set ideals grows like 3^n.
+# coordinate subset (16 MB at n = 24) and the circuit-ideal Betti table four
+# more.  The Hochster sweep of test-set ideals costs the sum of 2^(|W|-1)
+# over its lcm lattice, under a budget of its own (resolution.MASK_BUDGET).
 SIZE_CAP_ENV = "GHW_SIZE_CAP"
 
 

@@ -1,17 +1,18 @@
-"""Square-free monomial ideals, restricted complexes, reduced simplicial
-homology, and graded Betti tables via vertex-set sweeps.
+"""Square-free monomial ideals and their graded Betti tables via
+Hochster's formula, summed over the lcm lattice.
 
-The Betti table of R/I is accumulated from the reduced homology of the
-complex restricted to each vertex subset W: homology in degree d lands at
-(i, j) = (|W| - d - 1, |W|).  Only W in the lcm lattice of the generators
-(the unions of generator supports) can contribute: any other W has a
-vertex in no generator inside W, so its restriction is a cone.  The sweep
-visits that lattice and nothing else.
+Reduced homology of the complex restricted to a vertex set W, in degree
+d, lands at (i, j) = (|W| - d - 1, |W|).  Only W in the lcm lattice (the
+unions of generator supports) can contribute: any other W has a vertex in
+no generator inside W, so its restriction is a cone.
 
-Homology is computed over GF(2) from boundary-matrix ranks with packed
-int rows.  restricted_faces and the sweep share one face enumeration
-and one homology step; reduced_homology_dims is the checked public
-entry to that step.
+Each restriction is reduced by its lowest vertex v: it is del_v union the
+contractible cone v * lk_v, so its reduced homology is H(del_v, lk_v) by
+excision (the acyclic matching F <-> F | v of discrete Morse theory).  The
+cells are the faces F inside W - v with F | v a nonface, found among
+2^(|W|-1) submasks; boundary ranks are taken over GF(2) on packed int
+rows.  The sum of 2^(|W|-1) over the lattice, the sweep's cost, is checked
+against MASK_BUDGET while the lattice grows.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyAmbient, TheoremViolation, TooFewGenerators, size_cap
 from .gf2 import inclusion_minimal, rank_of_words
+
+# Sweeps past this many submask visits are refused up front.  One visit
+# costs about 0.45 us, so the budget is about 30 s of sweep.
+MASK_BUDGET = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -96,106 +101,89 @@ def _nonface_table(n: int, gens, ground: int) -> bytearray:
         mask = (mask - ground) & ground
 
 
-def _faces_by_size(w: int, nonface: bytearray) -> list[list[int]]:
-    """by_size[s] lists the faces of size s inside the vertex mask w."""
-    by_size: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
-    sub = w
+def _lcm_lattice(gens) -> set[int]:
+    """Every union of generator supports, the empty set included;
+    CapExceeded once the sum of 2^(|W|-1) over it passes MASK_BUDGET."""
+    lcms = {0}
+    masks = 0
+    for g in gens:
+        grown = {u | g for u in lcms}
+        grown -= lcms
+        masks += sum(1 << (w.bit_count() - 1) for w in grown)
+        if masks > MASK_BUDGET:
+            raise CapExceeded(
+                f"Hochster sweep needs at least {masks:.2e} submask visits "
+                f"(budget {MASK_BUDGET:.2e} = 2^{MASK_BUDGET.bit_length() - 1})")
+        lcms |= grown
+    return lcms
+
+
+def _relative_homology(w: int, nonface: bytearray, audit: bool) -> list[int]:
+    """h[s] = dimension of the reduced homology of the complex restricted
+    to the nonempty vertex mask w, in degree s - 1, from the cells of
+    H(del_v, lk_v); the boundary drops the facets that lie in lk_v."""
+    v = w & -w
+    rest = w ^ v
+    cells: list[list[int]] = [[] for _ in range(rest.bit_count() + 1)]
+    sub = rest
     while True:
-        if not nonface[sub]:
-            by_size[sub.bit_count()].append(sub)
+        if not nonface[sub] and nonface[sub | v]:
+            cells[sub.bit_count()].append(sub)
         if sub == 0:
-            return by_size
-        sub = (sub - 1) & w
-
-
-def _gf2_boundary_ranks(by_size: list[list[int]]) -> list[int]:
-    """ranks[s] = rank of the boundary map from size-s faces, over GF(2).
-
-    by_size[s] lists the faces of size s; downward closure is assumed
-    (every facet of a listed face is listed one level down).
-    """
-    top = len(by_size) - 1
-    ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
-        cols = by_size[s]
-        if not cols:
             break
-        index = {m: 1 << i for i, m in enumerate(by_size[s - 1])}
+        sub = (sub - 1) & rest
+    # Cells are closed upward, not downward: a level may be empty below a
+    # non-empty one, so empty levels are skipped, not a stopping point.
+    ranks = [0] * (len(cells) + 1)
+    for s in range(1, len(cells)):
+        if not cells[s] or not cells[s - 1]:
+            continue
+        get = {m: 1 << i for i, m in enumerate(cells[s - 1])}.get
 
         def boundary(c: int) -> int:
-            v = 0
+            col = 0
             m = c
             while m:
                 low = m & -m
-                v |= index[c ^ low]
+                col |= get(c ^ low, 0)
                 m ^= low
-            return v
+            return col
 
-        ranks[s] = rank_of_words(map(boundary, cols))
-    return ranks
-
-
-def _homology_by_size(by_size: list[list[int]],
-                      audit: bool = False) -> list[int]:
-    """h[s] = dimension of the reduced homology in degree s - 1.
-
-    h = f - r_s - r_{s+1} from the face counts and the boundary ranks.
-    audit checks every h and the Euler characteristic as it goes.
-    """
-    ranks = _gf2_boundary_ranks(by_size)
-    hs: list[int] = []
-    euler = 0  # sum of (-1)^s (f - h); zero when the ranks are consistent
-    for s, faces in enumerate(by_size):
-        f = len(faces)
-        h = f - ranks[s] - ranks[s + 1]
-        if audit:
-            if h < 0 or ranks[s] > f:
-                raise TheoremViolation(f"inconsistent ranks at face size {s}")
-            euler += f - h if s % 2 == 0 else h - f
-        hs.append(h)
-    if euler:
-        raise TheoremViolation(
-            f"Euler mismatch: faces and homology differ by {euler}")
+        ranks[s] = rank_of_words(map(boundary, cells[s]))
+    hs = [len(level) - ranks[s] - ranks[s + 1] for s, level in enumerate(cells)]
+    if audit:
+        _audit_relative(w, nonface, cells, ranks, hs)
     return hs
 
 
-def restricted_faces(ideal: MonomialIdeal, w: int) -> dict[int, list[int]]:
-    """All faces of the ideal's complex contained in the vertex mask w,
-    grouped by dimension and sorted.
-
-    The complex's minimal nonfaces are the generators.  The empty face
-    appears under dimension -1 whenever it is a face (always, unless the
-    ideal contains the constant monomial).
-    """
-    if w & ~((1 << ideal.n) - 1):
-        raise ValueError(f"vertex mask {bin(w)} outside ambient of size {ideal.n}")
-    by_size = _faces_by_size(w, _nonface_table(ideal.n, ideal.gens, w))
-    return {s - 1: sorted(faces) for s, faces in enumerate(by_size) if faces}
-
-
-def reduced_homology_dims(faces_by_dim: dict[int, list[int]]) -> dict[int, int]:
-    """Dimensions of the reduced homology of a downward-closed family,
-    over GF(2).
-
-    Input is the output shape of restricted_faces.  The chain complex is
-    augmented: the complex {empty face} has homology of dimension 1 in
-    degree -1, the void complex has none at all.  Only nonzero dimensions
-    are returned.
-    """
-    if not faces_by_dim:
-        return {}
-    top_dim = max(faces_by_dim)
-    by_size = [list(faces_by_dim.get(d, ())) for d in range(-1, top_dim + 1)]
-    if by_size[0] not in ([], [0]):
-        raise ValueError("dimension -1 may only hold the empty face")
-    for s in range(1, len(by_size)):
-        if by_size[s] and not by_size[s - 1]:
-            raise ValueError(f"family not downward closed: no faces of size {s - 1}")
-    try:
-        hs = _homology_by_size(by_size)
-    except KeyError as missing:
-        raise ValueError(f"family not downward closed: missing face {missing}")
-    return {s - 1: h for s, h in enumerate(hs) if h}
+def _audit_relative(w: int, nonface: bytearray, cells: list[list[int]],
+                    ranks: list[int], hs: list[int]) -> None:
+    """TheoremViolation unless the ranks fit the cell counts, the Euler
+    characteristic of the cells matches their homology, and the cells'
+    alternating count equals that of all faces inside w."""
+    euler = 0  # sum of (-1)^s (c - h); zero when the ranks are consistent
+    cell_chi = 0
+    for s, level in enumerate(cells):
+        c, h = len(level), hs[s]
+        if h < 0 or ranks[s] > c:
+            raise TheoremViolation(f"inconsistent ranks at cell size {s}")
+        euler += c - h if s % 2 == 0 else h - c
+        cell_chi += -c if s % 2 else c
+    if euler:
+        raise TheoremViolation(
+            f"Euler mismatch: cells and homology differ by {euler}")
+    face_chi = 0
+    sub = w
+    while True:
+        if not nonface[sub]:
+            face_chi += -1 if sub.bit_count() % 2 else 1
+        if sub == 0:
+            break
+        sub = (sub - 1) & w
+    if cell_chi != face_chi:
+        raise TheoremViolation(
+            f"relative Euler mismatch on {bin(w)}: cells give {cell_chi}, "
+            f"faces give {face_chi}")
 
 
 def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTable:
@@ -204,21 +192,22 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
 
     The sum runs over the lcm lattice of the generators, the empty set
     included (it gives beta_{0,0} = 1 unless the ideal is the whole
-    ring).  audit re-verifies the ranks and the Euler characteristic of
-    every restricted complex touched.
+    ring).  A lattice whose sweep would pass MASK_BUDGET submask visits
+    raises CapExceeded before any homology is computed.  audit re-checks
+    the ranks and the Euler characteristics of every set touched.
     """
     n = ideal.n
     if n > size_cap():
         raise CapExceeded(f"2^{n} sweep exceeds cap {size_cap()}")
+    lcms = _lcm_lattice(ideal.gens)
     nonface = _nonface_table(n, ideal.gens, (1 << n) - 1)
-    lcms = {0}
-    for g in ideal.gens:
-        lcms |= {u | g for u in lcms}
     table: dict[tuple[int, int], int] = {}
+    if not nonface[0]:  # W = {}: the empty face, unless the ideal is (1)
+        table[(0, 0)] = 1
+    lcms.discard(0)
     for w in lcms:
         j = w.bit_count()
-        by_size = _faces_by_size(w, nonface)
-        for s, h in enumerate(_homology_by_size(by_size, audit)):
+        for s, h in enumerate(_relative_homology(w, nonface, audit)):
             if h:
                 key = (j - s, j)  # homological degree i = j - (s-1) - 1
                 table[key] = table.get(key, 0) + h

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,22 @@ def test_cli_oracle_at_the_size_cap(tmp_path, capsys):
     assert ghw[0] == min(w.bit_count() for w in words)
     assert ghw[1] == min_pair_union(words)
     assert ghw[-1] == support.bit_count()
+
+
+def test_cli_testset_sweep_past_budget_refused(tmp_path, capsys):
+    """The test-set ideal of a seeded [24,12] code has an lcm lattice of
+    hundreds of thousands of sets, hours of Hochster sweep: the sweep is
+    refused while the lattice grows, with its mask estimate."""
+    code = random_code(random.Random(24), 24, 12)
+    path = tmp_path / "random24_12.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "ghw", str(path), "--route", "testset")
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert out == ""
+    assert "submask visits" in err and "e+" in err
+    assert "Traceback" not in err
 
 
 def test_cli_ghw_resolution(capsys):
@@ -367,7 +384,8 @@ def test_public_api_resolves():
         ghw.codes: ("matroid_circuits", "subcode_dim_within"),
         ghw.gf2: ("rank_of_columns", "bits_of"),
         ghw.io: ("parse_betti_diagram",),
-        ghw.resolution: ("taylor_pair_minimum",),
+        ghw.resolution: ("taylor_pair_minimum", "restricted_faces",
+                         "reduced_homology_dims"),
         ghw.groebner: ("LESS", "EQUAL", "GREATER"),
     }
     for module, names in gone.items():

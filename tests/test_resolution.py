@@ -2,13 +2,18 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ghw import (
+    BinaryMatrix,
+    CapExceeded,
+    Code,
     EmptyAmbient,
     TermOrder,
+    TheoremViolation,
     TooFewGenerators,
+    ZeroCode,
     betti_table_hochster,
     ideal_from_supports,
     min_pair_union,
@@ -16,12 +21,12 @@ from ghw import (
     min_shifts,
     minimal_support_codewords,
     reduced_groebner_basis,
-    reduced_homology_dims,
-    restricted_faces,
     word_from_string,
 )
+from ghw import resolution
+from ghw.gf2 import rank_of_words
 from ghw.groebner import test_set as extract_testset
-from ghw.resolution import BettiTable, MonomialIdeal
+from ghw.resolution import BettiTable, MonomialIdeal, _audit_relative, _nonface_table
 
 import known_codes as kc
 from test_codes import random_code
@@ -47,6 +52,125 @@ def brute_faces(gens, w):
             if not any(g & m == g for g in gens):
                 by_dim.setdefault(size - 1, []).append(m)
     return {d: sorted(faces) for d, faces in by_dim.items()}
+
+
+# --- the face-by-face oracle: full restriction, full chain complex ---------
+
+def _faces_by_size(w: int, nonface: bytearray) -> list[list[int]]:
+    """by_size[s] lists the faces of size s inside the vertex mask w."""
+    by_size: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
+    sub = w
+    while True:
+        if not nonface[sub]:
+            by_size[sub.bit_count()].append(sub)
+        if sub == 0:
+            return by_size
+        sub = (sub - 1) & w
+
+
+def _gf2_boundary_ranks(by_size: list[list[int]]) -> list[int]:
+    """ranks[s] = rank of the boundary map from size-s faces, over GF(2).
+
+    by_size[s] lists the faces of size s; downward closure is assumed
+    (every facet of a listed face is listed one level down).
+    """
+    top = len(by_size) - 1
+    ranks = [0] * (top + 2)
+    for s in range(1, top + 1):
+        cols = by_size[s]
+        if not cols:
+            break
+        index = {m: 1 << i for i, m in enumerate(by_size[s - 1])}
+
+        def boundary(c: int) -> int:
+            v = 0
+            m = c
+            while m:
+                low = m & -m
+                v |= index[c ^ low]
+                m ^= low
+            return v
+
+        ranks[s] = rank_of_words(map(boundary, cols))
+    return ranks
+
+
+def _homology_by_size(by_size: list[list[int]],
+                      audit: bool = False) -> list[int]:
+    """h[s] = dimension of the reduced homology in degree s - 1.
+
+    h = f - r_s - r_{s+1} from the face counts and the boundary ranks.
+    audit checks every h and the Euler characteristic as it goes.
+    """
+    ranks = _gf2_boundary_ranks(by_size)
+    hs: list[int] = []
+    euler = 0  # sum of (-1)^s (f - h); zero when the ranks are consistent
+    for s, faces in enumerate(by_size):
+        f = len(faces)
+        h = f - ranks[s] - ranks[s + 1]
+        if audit:
+            if h < 0 or ranks[s] > f:
+                raise TheoremViolation(f"inconsistent ranks at face size {s}")
+            euler += f - h if s % 2 == 0 else h - f
+        hs.append(h)
+    if euler:
+        raise TheoremViolation(
+            f"Euler mismatch: faces and homology differ by {euler}")
+    return hs
+
+
+def restricted_faces(ideal: MonomialIdeal, w: int) -> dict[int, list[int]]:
+    """All faces of the ideal's complex contained in the vertex mask w,
+    grouped by dimension and sorted.
+
+    The complex's minimal nonfaces are the generators.  The empty face
+    appears under dimension -1 whenever it is a face (always, unless the
+    ideal contains the constant monomial).
+    """
+    if w & ~((1 << ideal.n) - 1):
+        raise ValueError(f"vertex mask {bin(w)} outside ambient of size {ideal.n}")
+    by_size = _faces_by_size(w, _nonface_table(ideal.n, ideal.gens, w))
+    return {s - 1: sorted(faces) for s, faces in enumerate(by_size) if faces}
+
+
+def reduced_homology_dims(faces_by_dim: dict[int, list[int]]) -> dict[int, int]:
+    """Dimensions of the reduced homology of a downward-closed family,
+    over GF(2).
+
+    Input is the output shape of restricted_faces.  The chain complex is
+    augmented: the complex {empty face} has homology of dimension 1 in
+    degree -1, the void complex has none at all.  Only nonzero dimensions
+    are returned.
+    """
+    if not faces_by_dim:
+        return {}
+    top_dim = max(faces_by_dim)
+    by_size = [list(faces_by_dim.get(d, ())) for d in range(-1, top_dim + 1)]
+    if by_size[0] not in ([], [0]):
+        raise ValueError("dimension -1 may only hold the empty face")
+    for s in range(1, len(by_size)):
+        if by_size[s] and not by_size[s - 1]:
+            raise ValueError(f"family not downward closed: no faces of size {s - 1}")
+    try:
+        hs = _homology_by_size(by_size)
+    except KeyError as missing:
+        raise ValueError(f"family not downward closed: missing face {missing}")
+    return {s - 1: h for s, h in enumerate(hs) if h}
+
+
+def oracle_betti_over_lattice(ideal):
+    """Hochster's formula term by term: the homology of the full
+    restriction to every set in the lcm lattice, from its face list."""
+    lattice = {0}
+    for g in ideal.gens:
+        lattice |= {u | g for u in lattice}
+    expected = {}
+    for w in lattice:
+        j = w.bit_count()
+        for d, h in reduced_homology_dims(restricted_faces(ideal, w)).items():
+            key = (j - d - 1, j)
+            expected[key] = expected.get(key, 0) + h
+    return expected
 
 
 def k_polynomial_from_faces(ideal):
@@ -253,6 +377,92 @@ def test_betti_sweep_matches_homology_of_every_restriction(ideal):
             expected[key] = expected.get(key, 0) + h
     assert betti_table_hochster(ideal).entries == expected
     assert betti_table_hochster(ideal, audit=True).entries == expected
+
+
+@st.composite
+def small_testset_ideals(draw):
+    """Test-set ideal of a random code with n <= 9 under a random order
+    of either kind; some codes carry a weight-1 word."""
+    n = draw(st.integers(2, 9))
+    rows = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=n - 1))
+    if draw(st.booleans()):
+        rows.append(1 << draw(st.integers(0, n - 1)))
+    try:
+        code = Code.from_generator(BinaryMatrix(tuple(rows), n))
+    except ZeroCode:
+        assume(False)
+    order = TermOrder(draw(st.sampled_from(("deglex", "degrevlex"))),
+                      tuple(draw(st.permutations(range(n)))))
+    basis, _ = reduced_groebner_basis(code, order)
+    return ideal_from_supports(n, extract_testset(basis, code))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_testset_ideals())
+def test_betti_sweep_matches_oracle_on_testset_ideals(ideal):
+    """The one-vertex relative step against the face-by-face homology of
+    every full restriction in the lcm lattice."""
+    expected = oracle_betti_over_lattice(ideal)
+    assert betti_table_hochster(ideal).entries == expected
+    assert betti_table_hochster(ideal, audit=True).entries == expected
+
+
+@pytest.mark.parametrize("gens, table", [
+    # {v} a nonface for every W holding x1: the empty set is a cell
+    ([mask(1), mask(2, 3)], {(0, 0): 1, (1, 1): 1, (1, 2): 1, (2, 3): 1}),
+    # x2 + x3 (x1, x4): {2} a nonface and the lowest vertex of {2, 3, 4}
+    ([mask(2), mask(1, 3), mask(3, 4)],
+     {(0, 0): 1, (1, 1): 1, (1, 2): 2, (2, 3): 3, (3, 4): 1}),
+    # x1 x2 (x3, x4): the cells of {1,2,3,4} sit at sizes 2 and 3 only,
+    # with a boundary rank between them
+    ([mask(1, 2, 3), mask(1, 2, 4)], {(0, 0): 1, (1, 3): 2, (2, 4): 1}),
+    # {2} a maximal cell below an empty level, then {3,4,5} above it
+    ([mask(1, 2), mask(2, 3), mask(2, 4), mask(2, 5), mask(1, 3, 4, 5)],
+     {(0, 0): 1, (1, 2): 4, (1, 4): 1, (2, 3): 6, (2, 5): 1, (3, 4): 4, (4, 5): 1}),
+])
+def test_betti_cells_skip_levels_or_hold_the_empty_set(gens, table):
+    ideal = ideal_from_supports(5, gens)
+    expected = oracle_betti_over_lattice(ideal)
+    assert expected == table
+    assert betti_table_hochster(ideal).entries == expected
+    assert betti_table_hochster(ideal, audit=True).entries == expected
+
+
+def test_audit_rejects_cells_unlike_the_full_restriction():
+    """Cells whose ranks and homology agree with each other but whose
+    alternating count is not that of the faces inside w."""
+    nonface = bytearray(4)  # no generators: w = {1, 2} is a full simplex
+    with pytest.raises(TheoremViolation, match="relative Euler"):
+        _audit_relative(0b11, nonface, [[0], []], [0, 0, 0], [1, 0])
+
+
+# Test-set ideal of random_code(random.Random(1), 16, 8) under the default
+# degrevlex order: 46 generators, an lcm lattice of 3,151 sets.
+SEEDED_16_8_TESTSET_BETTI = [
+    (0, 0, 1), (1, 3, 4), (1, 4, 8), (1, 5, 10), (1, 6, 17), (1, 7, 6),
+    (1, 8, 1), (2, 5, 6), (2, 6, 31), (2, 7, 86), (2, 8, 155), (2, 9, 181),
+    (2, 10, 146), (3, 7, 16), (3, 8, 114), (3, 9, 393), (3, 10, 771),
+    (3, 11, 1324), (4, 9, 67), (4, 10, 363), (4, 11, 1315), (4, 12, 3609),
+    (5, 10, 16), (5, 11, 146), (5, 12, 1098), (5, 13, 4699), (6, 12, 25),
+    (6, 13, 448), (6, 14, 3262), (7, 14, 74), (7, 15, 1169), (8, 16, 171),
+]
+
+
+def test_betti_seeded_16_8_testset_ideal():
+    code = random_code(random.Random(1), 16, 8)
+    basis, _ = reduced_groebner_basis(code, TermOrder.default(16))
+    ideal = ideal_from_supports(16, extract_testset(basis, code))
+    assert len(ideal.gens) == 46
+    assert betti_table_hochster(ideal).sorted_triples() == SEEDED_16_8_TESTSET_BETTI
+
+
+def test_betti_refused_past_the_mask_budget(monkeypatch):
+    """The budget is checked while the lcm lattice grows."""
+    ideal = ideal_from_supports(6, [mask(1, 2), mask(3, 4), mask(5, 6)])
+    assert betti_table_hochster(ideal).entries  # 2^5 + 3 * 2^3 + 3 * 2 masks
+    monkeypatch.setattr(resolution, "MASK_BUDGET", 2 ** 5)
+    with pytest.raises(CapExceeded, match="submask visits"):
+        betti_table_hochster(ideal)
 
 
 def test_restricted_faces_rejects_vertices_outside_ambient():
