@@ -30,6 +30,7 @@ from .groebner import (
     CosetTable,
     GroebnerBasis,
     TermOrder,
+    coset_minima,
     decode,
     normal_form,
     reduced_groebner_basis,
@@ -67,7 +68,7 @@ __all__ = [
     "MonomialIdeal", "SearchReport", "TermOrder", "TheoremViolation",
     "TooFewGenerators", "VerificationReport", "WitnessPair", "ZeroCode",
     "all_priority_orders", "betti_table_hochster", "circuit_betti_table",
-    "counterexample_search", "d2_from_testset", "decode", "ghw_bruteforce",
+    "coset_minima", "counterexample_search", "d2_from_testset", "decode", "ghw_bruteforce",
     "ghw_hierarchy", "ghw_via_resolution", "ideal_from_supports",
     "kernel_basis", "min_pair_union", "min_shift_sequence", "min_shifts",
     "minimal_support_codewords", "normal_form", "reduced_groebner_basis",

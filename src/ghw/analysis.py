@@ -18,7 +18,7 @@ from .codes import (Code, GhwSequence, circuit_betti_table, ghw_hierarchy,
                     minimal_support_codewords, subcode_dims)
 from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, word_to_string
-from .groebner import TermOrder, reduced_groebner_basis, test_set
+from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
 from .resolution import (
     MonomialIdeal,
     betti_table_hochster,
@@ -181,14 +181,9 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
     return report
 
 
-def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
-    """Yield the verify_code report of c under each order in turn.
-
-    The hierarchy, the minimal supports and the circuit table (swept
-    again under audit) depend on the code alone and are built once; the
-    basis, the test set and its table, and the witness are built per
-    order.  The caller runs the set lemma, which depends on neither.
-    """
+def _code_facts(c: Code, audit: bool):
+    """(hierarchy, minimal supports, circuit table, its min shifts): the
+    per-code facts of the verify battery, from one subcode_dims table."""
     dims = subcode_dims(c)
     d = ghw_hierarchy(c, dims).values
     minimal = minimal_support_codewords(c)
@@ -200,9 +195,20 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
                 f"circuit-ideal Betti tables differ on [{c.n},{c.k}] code: "
                 f"Hochster sweep {swept.sorted_triples()}, "
                 f"matroid table {table_full.sorted_triples()}")
-    minshift_full = min_shifts(table_full)
-    minimal_set = set(minimal)
+    return d, set(minimal), table_full, min_shifts(table_full)
 
+
+def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
+    """Yield the verify_code report of c under each order in turn.
+
+    The hierarchy, the minimal supports and the circuit table (swept
+    again under audit) depend on the code alone and are built once, after
+    the first order's test-set table: a test-set sweep past the budget is
+    refused before any of them is built.  The basis, the test set and its
+    table, and the witness are built per order.  The caller runs the set
+    lemma, which depends on neither.
+    """
+    facts = None
     for o in orders:
         basis, _ = reduced_groebner_basis(c, o)
         words = test_set(basis, c)
@@ -210,6 +216,9 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
             ideal_from_supports(c.n, words), audit=audit)
         minshift_ts = min_shifts(table_ts)
         pd_ts = table_ts.pd
+        if facts is None:
+            facts = _code_facts(c, audit)
+        d, minimal_set, table_full, minshift_full = facts
 
         checks: dict[str, bool] = {}
         checks["testset_subset_minimal_supports"] = all(w in minimal_set for w in words)
@@ -367,12 +376,36 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
 
 
 def union_testsets(c: Code, orders: list[TermOrder]) -> MonomialIdeal:
-    """Union of the test sets over the given orders, as a support ideal."""
+    """Union of the test sets over the given orders, as a support ideal.
+
+    The reduced basis depends only on the standard monomials, the coset
+    leaders, and every degree-compatible order takes its leaders among
+    the minimum-weight members of each coset.  Orders are keyed by the
+    member they pick in each coset with more than one; each class of
+    orders (a cone of the Groebner fan) gets one basis and one test set,
+    and TheoremViolation is raised unless its leaders are the members
+    the key names.
+    """
     if not orders:
         raise ValueError("need at least one order")
-    union: set[int] = set()
+    minima = coset_minima(c)
+    tied = {syn: members for syn, members in minima.items() if len(members) > 1}
+    classes: dict[tuple[int, ...], TermOrder] = {}
     for o in orders:
-        basis, _ = reduced_groebner_basis(c, o)
+        key = ()
+        if tied:
+            # A copy of o picks the members, so that the caller's list does
+            # not keep a sort-key weight table alive for every order.
+            key = tuple(map(TermOrder(o.kind, o.priority).min_word, tied.values()))
+        classes.setdefault(key, o)
+    leaders = {syn: members[0] for syn, members in minima.items()}
+    union: set[int] = set()
+    for key, o in classes.items():
+        basis, table = reduced_groebner_basis(c, o)
+        if table.leaders != leaders | dict(zip(tied, key)):
+            raise TheoremViolation(
+                f"coset leaders of {o.describe()} are not the minimum-weight "
+                f"members it picks on [{c.n},{c.k}] code")
         union.update(test_set(basis, c))
     return ideal_from_supports(c.n, union)
 

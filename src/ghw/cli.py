@@ -35,7 +35,8 @@ from .io import (
 from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence, min_shifts
 
 
-# Longest code for --all-orders: n = 10 lists 2 * 10! orders, 1.6 GB.
+# Longest code for --all-orders.  The union builds one basis per class of
+# orders, so above n = 9 the cost is the list itself: 2 * 10! orders, 1.6 GB.
 _ALL_ORDERS_MAX_N = 9
 
 
@@ -184,9 +185,8 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         elif args.all_orders or (code.n <= 7 and not args.sample_orders):
             if code.n > _ALL_ORDERS_MAX_N:
                 raise CapExceeded(
-                    f"--all-orders at n={code.n} means 2*{code.n}! orders, "
-                    f"one Groebner basis each; above n={_ALL_ORDERS_MAX_N} "
-                    f"use --sample-orders N or --use-order")
+                    f"--all-orders at n={code.n} means listing 2*{code.n}! orders; "
+                    f"above n={_ALL_ORDERS_MAX_N} use --sample-orders N or --use-order")
             orders = list(all_priority_orders(code.n))
             params["orders"] = "all-permutations"
         else:

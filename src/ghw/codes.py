@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import cache
 
 from .errors import CapExceeded, LengthCapExceeded, TheoremViolation, ZeroCode, size_cap
-from .gf2 import BinaryMatrix, inclusion_minimal, kernel_basis, rref
+from .gf2 import (_BLOCK_BITS, BinaryMatrix, _indicator_blocks, _ones, _subset_transform,
+                  inclusion_minimal, kernel_basis, rref)
 from .resolution import BettiTable
 
 
@@ -114,55 +114,9 @@ def ghw_bruteforce(c: Code, h: int) -> int:
     return ghw_hierarchy(c).values[h - 1]
 
 
-# A packed block is one int holding the fields of 2^_BLOCK_BITS consecutive
-# masks, field t at bits t * width .. (t + 1) * width - 1: one int operation
-# then updates thousands of masks, while each temporary stays small.
-_BLOCK_BITS = 12
-
 _BIAS = 1 << 31  # a Moebius field holds m + 2^31 in 32 bits
 
 _FACE = bytes([1]) + bytes(255)  # translate table: dim 0 -> 1, any other -> 0
-
-
-@cache  # one big-int division per shape, not one per transform
-def _ones(bits: int, width: int, j: int | None = None) -> int:
-    """Packed block with a 1 in every field of width bits, or only in the
-    fields whose index has bit j clear."""
-    field = (1 << width) - 1
-    every = ((1 << (width << bits)) - 1) // field
-    if j is None:
-        return every
-    run = ((1 << (width << j)) - 1) // field  # 2^j fields, then 2^j empty
-    return run * (((1 << (width << bits)) - 1) // ((1 << (width << (j + 1))) - 1))
-
-
-def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
-    """One subset transform over packed blocks, in place.
-
-    blocks[i] holds the fields of the masks i * 2^bits ... (i + 1) * 2^bits
-    - 1.  For each coordinate j in turn and each mask m without j, the
-    field of m + {j} becomes step(field of m, field of m + {j}, ones),
-    where ones has a 1 in each field the call covers; every result must
-    fit its field.  Coordinates below bits pair the fields of one block,
-    the higher ones pair whole blocks.
-    """
-    field = (1 << width) - 1
-    low = []
-    for j in range(bits):
-        ones = _ones(bits, width, j)
-        low.append((width << j, ones * field, ones))
-    for i, x in enumerate(blocks):
-        for shift, keep, ones in low:
-            lo = x & keep
-            x = lo | step(lo, (x >> shift) & keep, ones) << shift
-        blocks[i] = x
-    ones = _ones(bits, width)
-    bit = 1
-    while bit < len(blocks):
-        for i in range(len(blocks)):
-            if i & bit:
-                blocks[i] = step(blocks[i ^ bit], blocks[i], ones)
-        bit <<= 1
 
 
 def _merge_counts(a: int, b: int, ones: int) -> int:
@@ -182,15 +136,7 @@ def _difference(lo: int, hi: int, ones: int) -> int:
 
 def _dim_blocks(c: Code, bits: int) -> list[int]:
     """subcode_dims of c as packed byte blocks of 2^bits masks each."""
-    low = (1 << bits) - 1
-    fill: dict[int, bytearray] = {}
-    for w in c.codewords():  # count 1 at each codeword: e = 1
-        block = fill.get(w >> bits)
-        if block is None:
-            block = fill[w >> bits] = bytearray(low + 1)
-        block[w & low] = 1
-    blocks = [int.from_bytes(fill.pop(i, b""), "little")
-              for i in range(1 << (c.n - bits))]
+    blocks = _indicator_blocks(c.codewords(), c.n, bits)  # count 1 at each codeword: e = 1
     _subset_transform(blocks, bits, 8, _merge_counts)
     every = _ones(bits, 8)
     for i in range(len(blocks)):

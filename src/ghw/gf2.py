@@ -14,6 +14,7 @@ picks the leftmost available pivot first, so all outputs are deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 
 def word_from_string(s: str) -> int:
@@ -150,3 +151,63 @@ def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
                 v |= 1 << pc
         rows.append(v)
     return BinaryMatrix(tuple(rows), m.ncols)
+
+
+# A packed block is one int holding the fields of 2^_BLOCK_BITS consecutive
+# masks, field t at bits t * width .. (t + 1) * width - 1: one int operation
+# then updates thousands of masks, while each temporary stays small.
+_BLOCK_BITS = 12
+
+
+@cache  # one big-int division per shape, not one per transform
+def _ones(bits: int, width: int, j: int | None = None) -> int:
+    """Packed block with a 1 in every field of width bits, or only in the
+    fields whose index has bit j clear."""
+    field = (1 << width) - 1
+    every = ((1 << (width << bits)) - 1) // field
+    if j is None:
+        return every
+    run = ((1 << (width << j)) - 1) // field  # 2^j fields, then 2^j empty
+    return run * (((1 << (width << bits)) - 1) // ((1 << (width << (j + 1))) - 1))
+
+
+def _indicator_blocks(masks, n: int, bits: int) -> list[int]:
+    """Packed blocks of byte fields, 2^bits masks each, covering all 2^n
+    masks: 1 in the field of each given mask, 0 elsewhere."""
+    low = (1 << bits) - 1
+    fill: dict[int, bytearray] = {}
+    for m in masks:
+        block = fill.get(m >> bits)
+        if block is None:
+            block = fill[m >> bits] = bytearray(low + 1)
+        block[m & low] = 1
+    return [int.from_bytes(fill.pop(i, b""), "little") for i in range(1 << (n - bits))]
+
+
+def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
+    """One subset transform over packed blocks, in place.
+
+    blocks[i] holds the fields of the masks i * 2^bits ... (i + 1) * 2^bits
+    - 1.  For each coordinate j in turn and each mask m without j, the
+    field of m + {j} becomes step(field of m, field of m + {j}, ones),
+    where ones has a 1 in each field the call covers; every result must
+    fit its field.  Coordinates below bits pair the fields of one block,
+    the higher ones pair whole blocks.
+    """
+    field = (1 << width) - 1
+    low = []
+    for j in range(bits):
+        ones = _ones(bits, width, j)
+        low.append((width << j, ones * field, ones))
+    for i, x in enumerate(blocks):
+        for shift, keep, ones in low:
+            lo = x & keep
+            x = lo | step(lo, (x >> shift) & keep, ones) << shift
+        blocks[i] = x
+    ones = _ones(bits, width)
+    bit = 1
+    while bit < len(blocks):
+        for i in range(len(blocks)):
+            if i & bit:
+                blocks[i] = step(blocks[i ^ bit], blocks[i], ones)
+        bit <<= 1

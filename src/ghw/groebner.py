@@ -11,12 +11,14 @@ becomes that coset's leader) or lands in an occupied coset (emit a
 binomial).  The emitted square-free binomials plus the surviving quadrics
 form the reduced basis; lead XOR trail of each binomial is a codeword of
 minimal support, and the deduplicated set of those codewords is the test
-set.
+set.  coset_minima runs the same growth with no order and keeps every
+minimum-weight member of each coset, the leaders any order can pick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .codes import Code
 from .errors import CapExceeded, TheoremViolation, size_cap
@@ -54,17 +56,27 @@ class TermOrder:
     def n(self) -> int:
         return len(self.priority)
 
-    def sort_key(self, word: int) -> tuple[int, int]:
-        """Key that sorts masks into increasing order under this order."""
+    @cached_property
+    def _weights(self) -> dict[int, int]:
+        """Variable bit -> its signed term in sort_key's tie-break: deglex
+        reads the priority list as a binary number, highest variable
+        first; degrevlex negates the number read lowest variable first."""
+        n = self.n
         if self.kind == "deglex":
-            t = 0
-            for idx in self.priority:
-                t = (t << 1) | ((word >> idx) & 1)
-            return (word.bit_count(), t)
+            return {1 << idx: 1 << (n - 1 - p) for p, idx in enumerate(self.priority)}
+        return {1 << idx: -(1 << p) for p, idx in enumerate(self.priority)}
+
+    def sort_key(self, word: int) -> tuple[int, int]:
+        """Key that sorts masks into increasing order under this order;
+        it costs one step per set bit of word."""
+        weights = self._weights
         t = 0
-        for idx in reversed(self.priority):
-            t = (t << 1) | ((word >> idx) & 1)
-        return (word.bit_count(), -t)
+        m = word
+        while m:
+            low = m & -m
+            t += weights[low]
+            m ^= low
+        return (word.bit_count(), t)
 
     def min_word(self, words) -> int:
         return min(words, key=self.sort_key)
@@ -144,6 +156,23 @@ class CosetTable:
         return s
 
 
+def _candidates(frontier, columns, weight: int) -> dict[int, int]:
+    """Mask -> syndrome for every mask of the given weight whose one-bit-
+    smaller submasks all lie in frontier, the (mask, syndrome) pairs of
+    weight - 1; columns pairs each variable's bit with its parity-check
+    column."""
+    hits: dict[int, int] = {}  # mask -> number of its submasks in frontier
+    syndromes: dict[int, int] = {}
+    for s, syn in frontier:
+        for bit, col in columns:
+            if s & bit:
+                continue
+            a = s | bit
+            hits[a] = hits.get(a, 0) + 1
+            syndromes[a] = syn ^ col
+    return {a: syndromes[a] for a, h in hits.items() if h == weight}
+
+
 def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, CosetTable]:
     """Compute the reduced Groebner basis and coset-leader table.
 
@@ -164,7 +193,7 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
         raise CapExceeded(f"length {c.n} exceeds cap {cap}")
 
     parity_rows = c.parity.rows
-    columns = [c.parity.column(j) for j in range(c.n)]
+    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
 
     leaders: dict[int, int] = {0: 0}
     binomials: list[Binomial] = []
@@ -173,19 +202,10 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     weight = 0
     while frontier:
         weight += 1
-        hits: dict[int, int] = {}  # candidate -> number of leader submasks
-        syndromes: dict[int, int] = {}
-        for s, syn in frontier:
-            for j, col in enumerate(columns):
-                a = s | (1 << j)
-                if a == s:
-                    continue
-                hits[a] = hits.get(a, 0) + 1
-                syndromes[a] = syn ^ col
+        candidates = _candidates(frontier, columns, weight)
         frontier = []
-        for a in sorted((a for a, h in hits.items() if h == weight),
-                        key=order.sort_key):
-            syn = syndromes[a]
+        for a in sorted(candidates, key=order.sort_key):
+            syn = candidates[a]
             b = leaders.get(syn)
             if b is None:
                 leaders[syn] = a
@@ -202,6 +222,42 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     basis = GroebnerBasis(order, c.n, tuple(binomials), tuple(violations))
     table = CosetTable(c.n, order, parity_rows, leaders)
     return basis, table
+
+
+def coset_minima(c: Code) -> dict[int, tuple[int, ...]]:
+    """Syndrome -> every minimum-weight member of that coset, ascending.
+
+    Every degree-compatible order picks its coset leader among these
+    members, so the leaders of an order are fixed by its choice in the
+    cosets with more than one.  Members grow weight by weight like the
+    leaders of reduced_groebner_basis.  Each one-bit-smaller submask of a
+    minimum-weight member is a minimum-weight member of its own coset: a
+    lighter word u there would make u XOR that bit a lighter word of the
+    member's coset.  So the candidates of weight w+1 are the masks whose
+    w submasks of weight w are all members, and a candidate is a member
+    iff no lighter weight has reached its coset.  Syndromes are those of
+    CosetTable.
+    """
+    cap = size_cap()
+    if c.n > cap:
+        raise CapExceeded(f"length {c.n} exceeds cap {cap}")
+    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
+    cosets = 1 << (c.n - c.k)
+    minima: dict[int, list[int]] = {0: [0]}
+    frontier = [(0, 0)]  # (member, syndrome) pairs of the current weight
+    weight = 0
+    while frontier and len(minima) < cosets:
+        weight += 1
+        fresh: dict[int, list[int]] = {}
+        for a, syn in _candidates(frontier, columns, weight).items():
+            if syn not in minima:
+                fresh.setdefault(syn, []).append(a)
+        minima.update(fresh)
+        frontier = [(a, syn) for syn, members in fresh.items() for a in members]
+    if len(minima) != cosets:
+        raise TheoremViolation(
+            f"found {len(minima)} cosets, expected 2^{c.n - c.k}")
+    return {syn: tuple(sorted(members)) for syn, members in minima.items()}
 
 
 def test_set(g: GroebnerBasis, c: Code) -> tuple[int, ...]:

@@ -11,8 +11,9 @@ contractible cone v * lk_v, so its reduced homology is H(del_v, lk_v) by
 excision (the acyclic matching F <-> F | v of discrete Morse theory).  The
 cells are the faces F inside W - v with F | v a nonface, found among
 2^(|W|-1) submasks; boundary ranks are taken over GF(2) on packed int
-rows.  The sum of 2^(|W|-1) over the lattice, the sweep's cost, is checked
-against MASK_BUDGET while the lattice grows.
+rows.  The nonface table behind those tests is one packed OR transform
+over all 2^n masks.  The sum of 2^(|W|-1) over the lattice, the sweep's
+cost, is checked against MASK_BUDGET while the lattice grows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceeded, EmptyAmbient, TheoremViolation, TooFewGenerators, size_cap
-from .gf2 import inclusion_minimal, rank_of_words
+from .gf2 import (_BLOCK_BITS, _indicator_blocks, _subset_transform, inclusion_minimal,
+                  rank_of_words)
 
 # Sweeps past this many submask visits are refused up front.  One visit
 # costs about 0.45 us, so the budget is about 30 s of sweep.
@@ -75,30 +77,14 @@ def ideal_from_supports(n: int, supports) -> MonomialIdeal:
     return MonomialIdeal(n, inclusion_minimal(supports, n))
 
 
-def _nonface_table(n: int, gens, ground: int) -> bytearray:
-    """nonface[m] = 1 iff m contains some generator, filled for every mask
-    m inside ground (entries outside ground stay 0).
-
-    Submasks of ground are visited in ascending order, so the one-bit
-    smaller submasks of m are settled before m.
-    """
-    table = bytearray(1 << n)
-    genset = set(gens)
-    mask = 0
-    while True:
-        if mask in genset:
-            table[mask] = 1
-        else:
-            m = mask
-            while m:
-                low = m & -m
-                if table[mask ^ low]:
-                    table[mask] = 1
-                    break
-                m ^= low
-        if mask == ground:
-            return table
-        mask = (mask - ground) & ground
+def _nonface_table(n: int, gens) -> bytes:
+    """nonface[m] = 1 iff the mask m contains some generator, for all 2^n
+    masks: the generator indicator pushed up to every superset by one OR
+    transform on packed blocks of byte fields, O(n 2^n) field updates."""
+    bits = min(_BLOCK_BITS, n)
+    blocks = _indicator_blocks(gens, n, bits)
+    _subset_transform(blocks, bits, 8, lambda lo, hi, ones: lo | hi)
+    return b"".join([x.to_bytes(1 << bits, "little") for x in blocks])
 
 
 def _lcm_lattice(gens) -> set[int]:
@@ -118,7 +104,7 @@ def _lcm_lattice(gens) -> set[int]:
     return lcms
 
 
-def _relative_homology(w: int, nonface: bytearray, audit: bool) -> list[int]:
+def _relative_homology(w: int, nonface: bytes, audit: bool) -> list[int]:
     """h[s] = dimension of the reduced homology of the complex restricted
     to the nonempty vertex mask w, in degree s - 1, from the cells of
     H(del_v, lk_v); the boundary drops the facets that lie in lk_v."""
@@ -156,7 +142,7 @@ def _relative_homology(w: int, nonface: bytearray, audit: bool) -> list[int]:
     return hs
 
 
-def _audit_relative(w: int, nonface: bytearray, cells: list[list[int]],
+def _audit_relative(w: int, nonface: bytes, cells: list[list[int]],
                     ranks: list[int], hs: list[int]) -> None:
     """TheoremViolation unless the ranks fit the cell counts, the Euler
     characteristic of the cells matches their homology, and the cells'
@@ -200,7 +186,7 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
     if n > size_cap():
         raise CapExceeded(f"2^{n} sweep exceeds cap {size_cap()}")
     lcms = _lcm_lattice(ideal.gens)
-    nonface = _nonface_table(n, ideal.gens, (1 << n) - 1)
+    nonface = _nonface_table(n, ideal.gens)
     table: dict[tuple[int, int], int] = {}
     if not nonface[0]:  # W = {}: the empty face, unless the ideal is (1)
         table[(0, 0)] = 1

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ghw import (
     BinaryMatrix,
+    CapExceeded,
     Code,
     DimensionTooSmall,
     TermOrder,
@@ -13,11 +14,13 @@ from ghw import (
     TooFewGenerators,
     ZeroCode,
     all_priority_orders,
+    coset_minima,
     counterexample_search,
     d2_from_testset,
     ghw_bruteforce,
     ghw_hierarchy,
     ghw_via_resolution,
+    ideal_from_supports,
     min_pair_union,
     minimal_support_codewords,
     reduced_groebner_basis,
@@ -68,6 +71,19 @@ def test_verify_audit_sweeps_the_circuit_ideal(toy63, monkeypatch):
     verify_code(toy63, order)
     with pytest.raises(TheoremViolation, match="circuit-ideal Betti tables differ"):
         verify_code(toy63, order, audit=True)
+
+
+def test_verify_refuses_testset_sweep_past_budget_before_code_facts(monkeypatch):
+    """The seeded [24,12] test-set sweep is past the mask budget: verify
+    refuses it before building any per-code table."""
+    import ghw.analysis as analysis
+
+    calls = []
+    monkeypatch.setattr(analysis, "subcode_dims", lambda c: calls.append(c))
+    code = random_code(random.Random(24), 24, 12)
+    with pytest.raises(CapExceeded, match="submask visits"):
+        verify_code(code, TermOrder.default(24))
+    assert calls == []
 
 
 def test_witness_worked63_order1(worked63):
@@ -310,6 +326,134 @@ def test_search_random_run_is_deterministic():
     b = counterexample_search(8, 4, trials=12, seed=5)
     assert a.as_dict() == b.as_dict()
     assert a.evaluated + a.skipped_rank_deficient + a.skipped_degenerate == 12
+
+
+def per_order_union(c, orders):
+    """One reduced basis and test set per order: the oracle for the
+    class-by-class union of union_testsets."""
+    union = set()
+    for o in orders:
+        basis, _ = reduced_groebner_basis(c, o)
+        union.update(extract_testset(basis, c))
+    return ideal_from_supports(c.n, union)
+
+
+def count_bases(monkeypatch):
+    """Route analysis's reduced_groebner_basis through a call counter."""
+    import ghw.analysis as analysis
+
+    calls = []
+    real = analysis.reduced_groebner_basis
+
+    def counted(c, o):
+        calls.append(o)
+        return real(c, o)
+
+    monkeypatch.setattr(analysis, "reduced_groebner_basis", counted)
+    return calls
+
+
+def test_union_over_all_orders_hamming_builds_one_basis(hamming74, monkeypatch):
+    """Hamming [7,4] is perfect: every coset has one minimum-weight
+    member, so all 10,080 orders share one basis."""
+    orders = list(all_priority_orders(7))
+    calls = count_bases(monkeypatch)
+    ideal = union_testsets(hamming74, orders)
+    assert len(orders) == 10_080
+    assert len(calls) == 1
+    assert ideal == per_order_union(hamming74, orders[:50])
+
+
+def test_union_over_all_orders_toy_builds_one_basis_per_class(toy63, monkeypatch):
+    orders = list(all_priority_orders(6))
+    calls = count_bases(monkeypatch)
+    ideal = union_testsets(toy63, orders)
+    assert len(orders) == 1_440
+    assert len(calls) == 8
+    # only the 8 orders that built a basis keep their sort-key weight table
+    assert sum("_weights" in vars(o) for o in orders) == 8
+    monkeypatch.undo()
+    assert ideal == per_order_union(toy63, orders)
+
+
+@st.composite
+def codes_with_orders(draw):
+    """A random code, some degenerate (a column cleared) and some with a
+    weight-1 codeword, with every order when n <= 6 and 50 sampled ones
+    above."""
+    n = draw(st.integers(2, 10))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n - 1))
+    dead = draw(st.sampled_from((0, 1 << (n - 1))))
+    rows = [r & ~dead for r in rows]
+    unit = draw(st.none() | st.integers(0, n - 1))
+    if unit is not None:
+        rows.append(1 << unit)
+    assume(any(rows))
+    code = Code.from_generator(BinaryMatrix(tuple(rows), n))
+    if n <= 6:
+        return code, list(all_priority_orders(n))
+    return code, sample_orders(n, 50, seed=draw(st.integers(0, 1000)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(codes_with_orders())
+def test_union_testsets_matches_per_order_oracle(case):
+    code, orders = case
+    assert union_testsets(code, orders) == per_order_union(code, orders)
+
+
+def test_union_testsets_refuses_leaders_off_the_minima(toy63, monkeypatch):
+    """With the member that the first order picks hidden from each tied
+    coset, that order's class has leaders unlike its key."""
+    import ghw.analysis as analysis
+
+    orders = list(all_priority_orders(6))
+
+    def hide_first_pick(c):
+        return {syn: tuple(m for m in members if m != orders[0].min_word(members))
+                     if len(members) > 1 else members
+                for syn, members in coset_minima(c).items()}
+
+    monkeypatch.setattr(analysis, "coset_minima", hide_first_pick)
+    with pytest.raises(TheoremViolation, match="coset leaders"):
+        union_testsets(toy63, orders)
+
+
+def minimum_weight_words(code):
+    """Syndrome -> every minimum-weight word of that coset, by scanning
+    all 2^n words."""
+    best = {}
+    for w in range(1 << code.n):
+        syn = code.parity.mul_word(w)
+        members = best.setdefault(syn, [])
+        if not members or w.bit_count() < members[0].bit_count():
+            members[:] = [w]
+        elif w.bit_count() == members[0].bit_count():
+            members.append(w)
+    return {syn: tuple(members) for syn, members in best.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes_with_orders())
+def test_coset_minima_are_the_minimum_weight_words_and_hold_every_leader(case):
+    code, orders = case
+    minima = coset_minima(code)
+    assert minima == minimum_weight_words(code)
+    assert len(minima) == 1 << (code.n - code.k)
+    for o in orders[::max(1, len(orders) // 5)]:
+        _, table = reduced_groebner_basis(code, o)
+        assert table.leaders.keys() == minima.keys()
+        for syn, leader in table.leaders.items():
+            assert leader in minima[syn]
+            assert o.min_word(minima[syn]) == leader
+
+
+def test_coset_minima_fixtures(toy63, hamming74):
+    assert all(len(m) == 1 for m in coset_minima(hamming74).values())
+    assert coset_minima(make_code(["100", "010", "001"])) == {0: (0,)}
+    toy = coset_minima(toy63)
+    assert len(toy) == 8
+    assert sum(len(m) > 1 for m in toy.values()) >= 1
 
 
 def test_union_testsets_single_order_is_that_testset(toy63):

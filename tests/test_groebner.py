@@ -36,6 +36,20 @@ def compare(o: TermOrder, a: int, b: int) -> int:
     return LESS if o.sort_key(a) < o.sort_key(b) else GREATER
 
 
+def loop_sort_key(o: TermOrder, word: int) -> tuple[int, int]:
+    """The sort key read variable by variable, all n of them: the oracle
+    for TermOrder.sort_key, which reads the set bits only."""
+    if o.kind == "deglex":
+        t = 0
+        for idx in o.priority:
+            t = (t << 1) | ((word >> idx) & 1)
+        return (word.bit_count(), t)
+    t = 0
+    for idx in reversed(o.priority):
+        t = (t << 1) | ((word >> idx) & 1)
+    return (word.bit_count(), -t)
+
+
 def coset_of(code, word):
     return [word ^ c for c in code.codewords()]
 
@@ -116,6 +130,17 @@ def test_compare_is_a_degree_compatible_total_order():
         for a, b, c in product(masks, repeat=3):
             if key(a) < key(b) < key(c):
                 assert key(a) < key(c)
+
+
+def test_sort_key_matches_loop_key_on_every_mask():
+    rng = random.Random(59)
+    for n in range(1, 9):
+        for kind in ("deglex", "degrevlex"):
+            orders = [TermOrder.default(n, kind)] + [
+                TermOrder(kind, tuple(rng.sample(range(n), n))) for _ in range(3)]
+            for o in orders:
+                assert [o.sort_key(w) for w in range(1 << n)] == \
+                    [loop_sort_key(o, w) for w in range(1 << n)]
 
 
 def test_groebner_repetition_code():

@@ -56,6 +56,33 @@ def brute_faces(gens, w):
 
 # --- the face-by-face oracle: full restriction, full chain complex ---------
 
+def nonface_by_mask(n: int, gens, ground: int) -> bytearray:
+    """nonface[m] = 1 iff m contains some generator, filled mask by mask
+    for every m inside ground (entries outside ground stay 0).  The
+    oracle for the packed transform of _nonface_table.
+
+    Submasks of ground are visited in ascending order, so the one-bit
+    smaller submasks of m are settled before m.
+    """
+    table = bytearray(1 << n)
+    genset = set(gens)
+    mask = 0
+    while True:
+        if mask in genset:
+            table[mask] = 1
+        else:
+            m = mask
+            while m:
+                low = m & -m
+                if table[mask ^ low]:
+                    table[mask] = 1
+                    break
+                m ^= low
+        if mask == ground:
+            return table
+        mask = (mask - ground) & ground
+
+
 def _faces_by_size(w: int, nonface: bytearray) -> list[list[int]]:
     """by_size[s] lists the faces of size s inside the vertex mask w."""
     by_size: list[list[int]] = [[] for _ in range(w.bit_count() + 1)]
@@ -129,7 +156,7 @@ def restricted_faces(ideal: MonomialIdeal, w: int) -> dict[int, list[int]]:
     """
     if w & ~((1 << ideal.n) - 1):
         raise ValueError(f"vertex mask {bin(w)} outside ambient of size {ideal.n}")
-    by_size = _faces_by_size(w, _nonface_table(ideal.n, ideal.gens, w))
+    by_size = _faces_by_size(w, nonface_by_mask(ideal.n, ideal.gens, w))
     return {s - 1: sorted(faces) for s, faces in enumerate(by_size) if faces}
 
 
@@ -362,6 +389,28 @@ def small_ideals(draw):
     n = draw(st.integers(1, 7))
     gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6))
     return ideal_from_supports(n, gens)
+
+
+@st.composite
+def ideals_up_to_12_variables(draw):
+    """Random generators on up to 12 variables, some of them the empty
+    set (the unit ideal) or single variables."""
+    n = draw(st.integers(1, 12))
+    gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if draw(st.booleans()):
+        gens.append(1 << draw(st.integers(0, n - 1)))
+    return ideal_from_supports(n, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals_up_to_12_variables(), st.sampled_from((2, 3, resolution._BLOCK_BITS)))
+def test_nonface_table_matches_mask_by_mask_oracle(ideal, bits):
+    """Blocks of 2^2 and 2^3 masks send every longer ideal through the
+    step that merges whole blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_BLOCK_BITS", bits)
+        table = _nonface_table(ideal.n, ideal.gens)
+    assert table == nonface_by_mask(ideal.n, ideal.gens, (1 << ideal.n) - 1)
 
 
 @settings(max_examples=100, deadline=None)
