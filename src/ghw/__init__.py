@@ -53,6 +53,7 @@ from .resolution import (
     BettiTable,
     MonomialIdeal,
     betti_table_hochster,
+    hochster_min_shifts,
     ideal_from_supports,
     min_pair_union,
     min_shift_sequence,
@@ -69,7 +70,7 @@ __all__ = [
     "TooFewGenerators", "VerificationReport", "WitnessPair", "ZeroCode",
     "all_priority_orders", "betti_table_hochster", "circuit_betti_table",
     "coset_minima", "counterexample_search", "d2_from_testset", "decode", "ghw_bruteforce",
-    "ghw_hierarchy", "ghw_via_resolution", "ideal_from_supports",
+    "ghw_hierarchy", "ghw_via_resolution", "hochster_min_shifts", "ideal_from_supports",
     "kernel_basis", "min_pair_union", "min_shift_sequence", "min_shifts",
     "minimal_support_codewords", "normal_form", "reduced_groebner_basis",
     "rref", "sample_orders", "second_weight_witness", "subcode_dims",

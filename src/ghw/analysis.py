@@ -22,6 +22,7 @@ from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
 from .resolution import (
     MonomialIdeal,
     betti_table_hochster,
+    hochster_min_shifts,
     ideal_from_supports,
     min_pair_union,
     min_shifts,
@@ -173,8 +174,9 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
     and shift bounds with exactness at i = 1, 2, the min-shift identity
     on the circuit ideal, hierarchy shape, and the sampled set lemma.
     Any failed check aborts for nondegenerate codes.  audit also sweeps
-    the circuit ideal with betti_table_hochster and raises
-    TheoremViolation unless it agrees with the fast table.
+    the circuit ideal and the test-set ideal with betti_table_hochster
+    and raises TheoremViolation unless the first agrees with the fast
+    table and the second gives the targeted sweep's shifts and pd.
     """
     check_symmetric_difference_lemma(c.n, lemma_trials, seed=seed)
     report, = _verify_orders(c, [o], audit)
@@ -203,19 +205,20 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
 
     The hierarchy, the minimal supports and the circuit table (swept
     again under audit) depend on the code alone and are built once, after
-    the first order's test-set table: a test-set sweep past the budget is
+    the first order's test-set sweep: a test-set sweep past the budget is
     refused before any of them is built.  The basis, the test set and its
-    table, and the witness are built per order.  The caller runs the set
-    lemma, which depends on neither.
+    minimal shifts (and pd, their count), and the witness are built per
+    order; under audit the shifts are checked against the full audited
+    Betti table of the test-set ideal.  The caller runs the set lemma,
+    which depends on neither.
     """
     facts = None
     for o in orders:
         basis, _ = reduced_groebner_basis(c, o)
         words = test_set(basis, c)
-        table_ts = betti_table_hochster(
+        minshift_ts = hochster_min_shifts(
             ideal_from_supports(c.n, words), audit=audit)
-        minshift_ts = min_shifts(table_ts)
-        pd_ts = table_ts.pd
+        pd_ts = len(minshift_ts)
         if facts is None:
             facts = _code_facts(c, audit)
         d, minimal_set, table_full, minshift_full = facts

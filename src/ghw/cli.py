@@ -32,7 +32,8 @@ from .io import (
     load_matrix,
     render_betti_diagram,
 )
-from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence, min_shifts
+from .resolution import (betti_table_hochster, hochster_min_shifts, ideal_from_supports,
+                         min_shift_sequence)
 
 
 # Longest code for --all-orders.  The union builds one basis per class of
@@ -139,8 +140,8 @@ def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
         params["order"] = _order_params(order)
         basis, _ = reduced_groebner_basis(code, order)
         words = test_set(basis, code)
-        table = betti_table_hochster(ideal_from_supports(code.n, words))
-        shifts = min_shifts(table)
+        shifts = hochster_min_shifts(ideal_from_supports(code.n, words))
+        pd = len(shifts)
         entries = []
         for i, j in enumerate(shifts, start=1):
             entries.append({"i": i, "value": j, "exact": i <= 2})
@@ -148,15 +149,15 @@ def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
             (str(e["value"]) if e["exact"] else f"≤{e['value']}")
             for e in entries)
         note = None
-        if table.pd < code.k:
-            missing = (f"d_{code.k}" if table.pd + 1 == code.k
-                       else f"d_{table.pd + 1}..d_{code.k}")
-            note = (f"pd of the test-set quotient is {table.pd} < k={code.k}: "
+        if pd < code.k:
+            missing = (f"d_{code.k}" if pd + 1 == code.k
+                       else f"d_{pd + 1}..d_{code.k}")
+            note = (f"pd of the test-set quotient is {pd} < k={code.k}: "
                     f"no bound for {missing}")
         result = {
             "route": "testset",
             "entries": entries,
-            "pd_testset": table.pd,
+            "pd_testset": pd,
             "k": code.k,
             "display": display,
             "note": note,

@@ -33,6 +33,14 @@ def word_to_string(word: int, n: int) -> str:
     return "".join("1" if (word >> i) & 1 else "0" for i in range(n))
 
 
+def bitstring_sorted(words, n: int) -> list[int]:
+    """The words in the order of their bitstrings, compared as int keys:
+    each word with its n bits reversed, so coordinate 1 is the most
+    significant bit."""
+    spec = f"0{n}b"
+    return sorted(words, key=lambda w: int(format(w, spec)[::-1], 2))
+
+
 def inclusion_minimal(masks, n: int) -> tuple[int, ...]:
     """The masks that contain no other mask, once each, sorted by bitstring.
 
@@ -43,7 +51,7 @@ def inclusion_minimal(masks, n: int) -> tuple[int, ...]:
     for s in sorted(masks, key=lambda m: (m.bit_count(), m)):
         if not any(g & s == g for g in minimal):
             minimal.append(s)
-    return tuple(sorted(minimal, key=lambda w: word_to_string(w, n)))
+    return tuple(bitstring_sorted(minimal, n))
 
 
 def rank_of_words(words) -> int:

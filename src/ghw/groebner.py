@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .codes import Code
 from .errors import CapExceeded, TheoremViolation, size_cap
-from .gf2 import word_to_string
+from .gf2 import bitstring_sorted, word_to_string
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ def test_set(g: GroebnerBasis, c: Code) -> tuple[int, ...]:
     for w in words:
         if not c.contains(w):
             raise ValueError(f"basis word {word_to_string(w, c.n)} not in code")
-    return tuple(sorted(words, key=lambda w: word_to_string(w, c.n)))
+    return tuple(bitstring_sorted(words, c.n))
 
 
 def normal_form(t: CosetTable, w: int) -> int:

@@ -14,6 +14,17 @@ cells are the faces F inside W - v with F | v a nonface, found among
 rows.  The nonface table behind those tests is one packed OR transform
 over all 2^n masks.  The sum of 2^(|W|-1) over the lattice, the sweep's
 cost, is checked against MASK_BUDGET while the lattice grows.
+
+The minimal shifts m_i (the smallest j with beta_{i,j} != 0) need far
+less than the whole table.  In a minimal free resolution the
+differential's entries lie in the maximal ideal, so a basis element of
+F_i in degree j maps onto some basis element of F_{i-1} of degree
+j' < j: beta_{i,j} != 0 forces beta_{i-1,j'} != 0.  Hence m_1 < m_2 < ...
+fill the degrees 1..pd with no gap, and pd is their count.  Swept by
+ascending |W| = j with t shifts found, only degree t + 1 can first
+appear at size j, at one cell level s = j - t - 1; hochster_min_shifts
+walks the lattice that way and stops at the first W of each size with
+homology there.
 """
 
 from __future__ import annotations
@@ -104,24 +115,38 @@ def _lcm_lattice(gens) -> set[int]:
     return lcms
 
 
-def _relative_homology(w: int, nonface: bytes, audit: bool) -> list[int]:
-    """h[s] = dimension of the reduced homology of the complex restricted
-    to the nonempty vertex mask w, in degree s - 1, from the cells of
-    H(del_v, lk_v); the boundary drops the facets that lie in lk_v."""
+def _relative_homology(w: int, nonface: bytes, audit: bool,
+                       lo: int = 0, hi: int | None = None) -> list[int]:
+    """h[s - lo] for s = lo..hi (every level when hi is None): the
+    dimension of the reduced homology of the complex restricted to the
+    nonempty vertex mask w, in degree s - 1, from the cells of
+    H(del_v, lk_v); the boundary drops the facets that lie in lk_v.
+
+    Only the cells of sizes lo - 1 .. hi + 1 are kept, the ones the two
+    boundary ranks around each level of the window need.  audit checks
+    the whole complex, so it needs the whole window.
+    """
     v = w & -w
     rest = w ^ v
-    cells: list[list[int]] = [[] for _ in range(rest.bit_count() + 1)]
+    top = rest.bit_count()
+    if hi is None:
+        hi = top
+    below = lo - 1
+    above = hi + 1
+    cells: list[list[int]] = [[] for _ in range(top + 1)]
     sub = rest
     while True:
         if not nonface[sub] and nonface[sub | v]:
-            cells[sub.bit_count()].append(sub)
+            size = sub.bit_count()
+            if below <= size <= above:
+                cells[size].append(sub)
         if sub == 0:
             break
         sub = (sub - 1) & rest
     # Cells are closed upward, not downward: a level may be empty below a
     # non-empty one, so empty levels are skipped, not a stopping point.
-    ranks = [0] * (len(cells) + 1)
-    for s in range(1, len(cells)):
+    ranks = [0] * (top + 2)
+    for s in range(max(lo, 1), min(above, top) + 1):
         if not cells[s] or not cells[s - 1]:
             continue
         get = {m: 1 << i for i, m in enumerate(cells[s - 1])}.get
@@ -136,7 +161,7 @@ def _relative_homology(w: int, nonface: bytes, audit: bool) -> list[int]:
             return col
 
         ranks[s] = rank_of_words(map(boundary, cells[s]))
-    hs = [len(level) - ranks[s] - ranks[s + 1] for s, level in enumerate(cells)]
+    hs = [len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(lo, hi + 1)]
     if audit:
         _audit_relative(w, nonface, cells, ranks, hs)
     return hs
@@ -172,6 +197,15 @@ def _audit_relative(w: int, nonface: bytes, cells: list[list[int]],
             f"faces give {face_chi}")
 
 
+def _sweep_tables(ideal: MonomialIdeal) -> tuple[set[int], bytes]:
+    """The lcm lattice and the nonface table a sweep runs on, after the
+    size cap and, while the lattice grows, MASK_BUDGET."""
+    if ideal.n > size_cap():
+        raise CapExceeded(f"2^{ideal.n} sweep exceeds cap {size_cap()}")
+    lcms = _lcm_lattice(ideal.gens)
+    return lcms, _nonface_table(ideal.n, ideal.gens)
+
+
 def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTable:
     """Graded Betti table of R/I over GF(2) from homology of restricted
     complexes.
@@ -180,13 +214,10 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
     included (it gives beta_{0,0} = 1 unless the ideal is the whole
     ring).  A lattice whose sweep would pass MASK_BUDGET submask visits
     raises CapExceeded before any homology is computed.  audit re-checks
-    the ranks and the Euler characteristics of every set touched.
+    the ranks and the Euler characteristics of every set touched, and
+    that the minimal shifts rise through the degrees 1..pd with no gap.
     """
-    n = ideal.n
-    if n > size_cap():
-        raise CapExceeded(f"2^{n} sweep exceeds cap {size_cap()}")
-    lcms = _lcm_lattice(ideal.gens)
-    nonface = _nonface_table(n, ideal.gens)
+    lcms, nonface = _sweep_tables(ideal)
     table: dict[tuple[int, int], int] = {}
     if not nonface[0]:  # W = {}: the empty face, unless the ideal is (1)
         table[(0, 0)] = 1
@@ -197,7 +228,49 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
             if h:
                 key = (j - s, j)  # homological degree i = j - (s-1) - 1
                 table[key] = table.get(key, 0) + h
-    return BettiTable(table)
+    result = BettiTable(table)
+    if audit:
+        shifts = min_shifts(result)
+        if len(shifts) != result.pd or any(a >= b for a, b in zip(shifts, shifts[1:])):
+            raise TheoremViolation(
+                f"minimal shifts {list(shifts)} of the Betti table "
+                f"{result.sorted_triples()} leave a gap below pd = {result.pd} "
+                f"or fail to increase")
+    return result
+
+
+def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int, ...]:
+    """The minimal shifts of the Betti table of R/I, one per homological
+    degree 1..pd, without the rest of the table.
+
+    The lcm lattice is swept by ascending size j.  With t shifts found,
+    only degree t + 1 can first appear at size j (see the module
+    docstring), that is the homology at cell level s = j - t - 1, and
+    the first W of size j where it is nonzero settles the shift.  The
+    same MASK_BUDGET refusal applies.  audit also builds the audited
+    full table and raises TheoremViolation unless its minimal shifts
+    are these.
+    """
+    lcms, nonface = _sweep_tables(ideal)
+    by_size: dict[int, list[int]] = {}
+    for w in lcms:
+        if w:
+            by_size.setdefault(w.bit_count(), []).append(w)
+    shifts: list[int] = []
+    for j in sorted(by_size):
+        s = j - len(shifts) - 1
+        # beta_{i,W} is at most the number of i-sets of generators with
+        # union W (Taylor), so the sets holding the most generators go first.
+        ws = sorted(by_size[j], key=lambda w: -sum(g & w == g for g in ideal.gens))
+        if any(_relative_homology(w, nonface, False, s, s)[0] for w in ws):
+            shifts.append(j)
+    if audit:
+        full = betti_table_hochster(ideal, audit=True)
+        if min_shifts(full) != tuple(shifts) or full.pd != len(shifts):
+            raise TheoremViolation(
+                f"targeted sweep gives minimal shifts {shifts}, the full "
+                f"Betti table {list(min_shifts(full))} with pd = {full.pd}")
+    return tuple(shifts)
 
 
 def min_shift_sequence(t: BettiTable) -> list[tuple[int, int]]:

@@ -73,6 +73,25 @@ def test_verify_audit_sweeps_the_circuit_ideal(toy63, monkeypatch):
         verify_code(toy63, order, audit=True)
 
 
+def test_verify_audit_checks_the_targeted_testset_sweep(toy63, monkeypatch):
+    """audit rebuilds the test-set ideal's full Betti table: a window
+    kernel that finds no homology is caught there, before the battery
+    reports the missing shifts."""
+    from ghw import resolution
+
+    whole = resolution._relative_homology
+
+    def window_blind(w, nonface, audit, lo=0, hi=None):
+        return [0] if hi is not None else whole(w, nonface, audit, lo, hi)
+
+    monkeypatch.setattr(resolution, "_relative_homology", window_blind)
+    order = TermOrder.default(6)
+    with pytest.raises(TheoremViolation, match="proven checks failed"):
+        verify_code(toy63, order)
+    with pytest.raises(TheoremViolation, match="targeted sweep"):
+        verify_code(toy63, order, audit=True)
+
+
 def test_verify_refuses_testset_sweep_past_budget_before_code_facts(monkeypatch):
     """The seeded [24,12] test-set sweep is past the mask budget: verify
     refuses it before building any per-code table."""

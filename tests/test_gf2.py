@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ghw import BinaryMatrix, kernel_basis, rref, word_from_string, word_to_string
-from ghw.gf2 import rank_of_words
+from ghw.gf2 import bitstring_sorted, inclusion_minimal, rank_of_words
 
 import known_codes as kc
 
@@ -180,3 +180,15 @@ def test_rank_of_words_matches_span_oracle():
     for _ in range(50):
         rows = [rng.getrandbits(12) for _ in range(rng.randint(0, 6))]
         assert rank_of_words(rows) == span_size_rank(rows)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 14, 16, 24, 31])
+def test_bitstring_sorted_is_the_order_of_rendered_words(n):
+    """The int key sorts words exactly as their bitstrings sort, across
+    byte boundaries; the oracle renders every word."""
+    rng = random.Random(n)
+    words = [rng.getrandbits(n) for _ in range(300)] + [0, (1 << n) - 1, 1, 1 << (n - 1)]
+    expected = sorted(words, key=lambda w: word_to_string(w, n))
+    assert bitstring_sorted(words, n) == expected
+    minimal = inclusion_minimal(words, n)
+    assert list(minimal) == sorted(minimal, key=lambda w: word_to_string(w, n))

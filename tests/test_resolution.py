@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ghw import (
@@ -15,6 +15,7 @@ from ghw import (
     TooFewGenerators,
     ZeroCode,
     betti_table_hochster,
+    hochster_min_shifts,
     ideal_from_supports,
     min_pair_union,
     min_shift_sequence,
@@ -26,7 +27,8 @@ from ghw import (
 from ghw import resolution
 from ghw.gf2 import rank_of_words
 from ghw.groebner import test_set as extract_testset
-from ghw.resolution import BettiTable, MonomialIdeal, _audit_relative, _nonface_table
+from ghw.resolution import (BettiTable, MonomialIdeal, _audit_relative, _nonface_table,
+                            _relative_homology)
 
 import known_codes as kc
 from test_codes import random_code
@@ -512,6 +514,103 @@ def test_betti_refused_past_the_mask_budget(monkeypatch):
     monkeypatch.setattr(resolution, "MASK_BUDGET", 2 ** 5)
     with pytest.raises(CapExceeded, match="submask visits"):
         betti_table_hochster(ideal)
+
+
+# --- the targeted sweep: minimal shifts without the full table ------------
+
+@st.composite
+def generator_families(draw):
+    """Any square-free generators on up to 10 variables, inclusions and
+    repeats allowed; some families get a single variable."""
+    n = draw(st.integers(1, 10))
+    gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    if draw(st.booleans()):
+        gens.append(1 << draw(st.integers(0, n - 1)))
+    return ideal_from_supports(n, gens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families())
+@example(ideal_from_supports(4, []))  # the zero ideal: no shifts
+@example(ideal_from_supports(4, [0]))  # the unit ideal (1): no shifts
+@example(ideal_from_supports(4, [0b0110]))  # one generator
+@example(ideal_from_supports(5, [mask(1), mask(2), mask(3)]))  # weight 1 only
+@example(ideal_from_supports(5, [mask(2), mask(1, 3), mask(3, 4)]))
+def test_targeted_sweep_matches_full_table(ideal):
+    """One new homological degree per lattice size gives the minimal
+    shifts of the full table, and as many of them as its pd."""
+    table = betti_table_hochster(ideal)
+    shifts = hochster_min_shifts(ideal)
+    assert shifts == min_shifts(table)
+    assert len(shifts) == table.pd
+    assert hochster_min_shifts(ideal, audit=True) == shifts
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_families(), st.data())
+def test_relative_homology_window_is_a_slice_of_the_whole(ideal, data):
+    """A window of cell levels gives the same homology as those levels of
+    the whole complex."""
+    nonface = _nonface_table(ideal.n, ideal.gens)
+    w = data.draw(st.integers(1, (1 << ideal.n) - 1))
+    whole = _relative_homology(w, nonface, True)
+    lo = data.draw(st.integers(0, len(whole) - 1))
+    hi = data.draw(st.integers(lo, len(whole) - 1))
+    assert _relative_homology(w, nonface, False, lo, hi) == whole[lo:hi + 1]
+
+
+@pytest.mark.parametrize("kind", ["degrevlex", "deglex"])
+@pytest.mark.parametrize("fixture, shifts", [
+    ("toy63", kc.TOY63_GHW),
+    ("hamming74", kc.HAMMING74_GHW),
+    ("code107", kc.CODE107_TESTSET_MINSHIFTS),
+    ("code149", kc.CODE149_GHW),
+])
+def test_targeted_sweep_fixture_testset_shifts(fixture, shifts, kind, request):
+    code = request.getfixturevalue(fixture)
+    basis, _ = reduced_groebner_basis(code, TermOrder.default(code.n, kind))
+    ideal = ideal_from_supports(code.n, extract_testset(basis, code))
+    assert hochster_min_shifts(ideal) == shifts
+
+
+def test_targeted_sweep_refused_past_the_mask_budget(monkeypatch):
+    ideal = ideal_from_supports(6, [mask(1, 2), mask(3, 4), mask(5, 6)])
+    assert hochster_min_shifts(ideal) == (2, 4, 6)
+    monkeypatch.setattr(resolution, "MASK_BUDGET", 2 ** 5)
+    with pytest.raises(CapExceeded, match="submask visits"):
+        hochster_min_shifts(ideal)
+
+
+def test_targeted_sweep_cap(monkeypatch):
+    monkeypatch.setenv("GHW_SIZE_CAP", "4")
+    with pytest.raises(CapExceeded):
+        hochster_min_shifts(ideal_from_supports(6, [mask(1, 2)]))
+
+
+def test_targeted_sweep_audit_rejects_a_wrong_window(monkeypatch):
+    """A window kernel that misses a homology class gives too few shifts;
+    audit compares them with the full audited table."""
+    whole = _relative_homology
+
+    def window_blind(w, nonface, audit, lo=0, hi=None):
+        return [0] if hi is not None else whole(w, nonface, audit, lo, hi)
+
+    monkeypatch.setattr(resolution, "_relative_homology", window_blind)
+    ideal = ideal_from_supports(6, [mask(1, 2), mask(3, 4)])
+    assert hochster_min_shifts(ideal) == ()
+    with pytest.raises(TheoremViolation, match="targeted sweep"):
+        hochster_min_shifts(ideal, audit=True)
+
+
+def test_betti_audit_rejects_a_gap_in_the_minimal_shifts(monkeypatch):
+    """Homology moved to a lower cell level of x1 x2 x3 puts beta_{2,3}
+    in a table with no beta_1: the minimal shifts leave degree 1 empty."""
+    monkeypatch.setattr(resolution, "_relative_homology",
+                        lambda w, nonface, audit: [0, 1, 0])
+    ideal = ideal_from_supports(3, [0b111])
+    assert betti_table_hochster(ideal).entries == {(0, 0): 1, (2, 3): 1}
+    with pytest.raises(TheoremViolation, match="gap"):
+        betti_table_hochster(ideal, audit=True)
 
 
 def test_restricted_faces_rejects_vertices_outside_ambient():
