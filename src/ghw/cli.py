@@ -379,8 +379,12 @@ def main(argv=None) -> int:
                          time.perf_counter() - t0, __version__)
     text = dumps_document(doc)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"ghw: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
     return 0

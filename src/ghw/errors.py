@@ -9,8 +9,9 @@ DEFAULT_SIZE_CAP = 24
 # Environment override for experimentation only; anything above 24 is
 # unsupported and can exhaust memory: the oracle holds one byte per
 # coordinate subset (16 MB at n = 24) and the circuit-ideal Betti table four
-# more.  The Hochster sweep of test-set ideals costs the sum of 2^(|W|-1)
-# over its lcm lattice, under a budget of its own (resolution.MASK_BUDGET).
+# more.  The Hochster sweep of test-set ideals is bounded on its own: the sum
+# of 2^(|W|-1) over its lcm lattice, a size bound rather than a count of its
+# work, must stay under resolution.MASK_BUDGET.
 SIZE_CAP_ENV = "GHW_SIZE_CAP"
 
 

@@ -6,14 +6,16 @@ d, lands at (i, j) = (|W| - d - 1, |W|).  Only W in the lcm lattice (the
 unions of generator supports) can contribute: any other W has a vertex in
 no generator inside W, so its restriction is a cone.
 
-Each restriction is reduced by its lowest vertex v: it is del_v union the
-contractible cone v * lk_v, so its reduced homology is H(del_v, lk_v) by
-excision (the acyclic matching F <-> F | v of discrete Morse theory).  The
-cells are the faces F inside W - v with F | v a nonface, found among
-2^(|W|-1) submasks; boundary ranks are taken over GF(2) on packed int
-rows.  The nonface table behind those tests is one packed OR transform
-over all 2^n masks.  The sum of 2^(|W|-1) over the lattice, the sweep's
-cost, is checked against MASK_BUDGET while the lattice grows.
+Each restriction is reduced by one of its vertices v: it is del_v union
+the contractible cone v * lk_v, so its reduced homology is H(del_v, lk_v)
+by excision (the acyclic matching F <-> F | v of discrete Morse theory).
+Any vertex works; the sweep takes the one that leaves the fewest cells,
+the faces F inside W - v with F | v a nonface, since the boundary ranks
+over GF(2) cost most and shrink with them.  Every W gets its own nonface
+table, 2^|W| one-bit fields in W's coordinates built from the generators
+inside W by one packed OR transform; the cells of every v are a few
+bitwise operations on it.  The sum of 2^(|W|-1) over the lattice is
+checked against MASK_BUDGET while the lattice grows.
 
 The minimal shifts m_i (the smallest j with beta_{i,j} != 0) need far
 less than the whole table.  In a minimal free resolution the
@@ -30,13 +32,15 @@ homology there.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import CapExceeded, EmptyAmbient, TheoremViolation, TooFewGenerators, size_cap
-from .gf2 import (_BLOCK_BITS, _indicator_blocks, _subset_transform, inclusion_minimal,
-                  rank_of_words)
+from .gf2 import _BLOCK_BITS, _ones, _subset_transform, inclusion_minimal, rank_of_words
 
-# Sweeps past this many submask visits are refused up front.  One visit
-# costs about 0.45 us, so the budget is about 30 s of sweep.
+# A size bound: a sweep whose lcm lattice has a sum of 2^(|W|-1) past this
+# is refused up front, before any homology.  The sum counts no operation of
+# the kernel (a W costs a 2^|W|-bit table and the ranks of its cells); it
+# stays fixed so that the refused inputs, and their messages, stay fixed.
 MASK_BUDGET = 1 << 26
 
 
@@ -88,14 +92,34 @@ def ideal_from_supports(n: int, supports) -> MonomialIdeal:
     return MonomialIdeal(n, inclusion_minimal(supports, n))
 
 
-def _nonface_table(n: int, gens) -> bytes:
+def _nonface_table(n: int, gens) -> list[int]:
     """nonface[m] = 1 iff the mask m contains some generator, for all 2^n
-    masks: the generator indicator pushed up to every superset by one OR
-    transform on packed blocks of byte fields, O(n 2^n) field updates."""
+    masks, as packed blocks of one-bit fields (bit x of block i is the
+    mask i * 2^bits + x): the generator indicator pushed up to every
+    superset by one OR transform, O(n 2^n) field updates."""
     bits = min(_BLOCK_BITS, n)
-    blocks = _indicator_blocks(gens, n, bits)
-    _subset_transform(blocks, bits, 8, lambda lo, hi, ones: lo | hi)
-    return b"".join([x.to_bytes(1 << bits, "little") for x in blocks])
+    low = (1 << bits) - 1
+    blocks = [0] * (1 << (n - bits))
+    for g in gens:
+        blocks[g >> bits] |= 1 << (g & low)
+    _subset_transform(blocks, bits, 1, lambda lo, hi, ones: lo | hi)
+    return blocks
+
+
+def _own_table(w: int, gens) -> list[int]:
+    """The nonface table of the complex restricted to the vertex mask w,
+    in w's own coordinates: the i-th lowest vertex of w is local bit i,
+    and only the generators inside w count."""
+    inside = []
+    for g in gens:
+        if g & w == g:
+            x = 0
+            while g:
+                low = g & -g
+                x |= 1 << (w & (low - 1)).bit_count()  # low's place in w
+                g ^= low
+            inside.append(x)
+    return _nonface_table(w.bit_count(), inside)
 
 
 def _lcm_lattice(gens) -> set[int]:
@@ -115,34 +139,86 @@ def _lcm_lattice(gens) -> set[int]:
     return lcms
 
 
-def _relative_homology(w: int, nonface: bytes, audit: bool,
+@cache
+def _levels(bits: int) -> tuple[int, ...]:
+    """levels[s] is the packed one-bit block with bit x set, for the 2^bits
+    masks x of one block, iff |x| = s."""
+    if bits == 0:
+        return (1,)
+    half = _levels(bits - 1)
+    shift = 1 << (bits - 1)
+    return tuple((half[s] if s < bits else 0) | (half[s - 1] << shift if s else 0)
+                 for s in range(bits + 1))
+
+
+def _cells(table: list[int], bits: int, v: int) -> list[tuple[int, int]]:
+    """(i, c) for each block i of a local nonface table without vertex v:
+    bit x of c is set iff the local mask i * 2^bits + x is a face and adding
+    v makes it a nonface, that is iff it is a cell of H(del_v, lk_v)."""
+    if v < bits:
+        shift = 1 << v
+        keep = _ones(bits, 1, v)
+        return [(i, x >> shift & ~x & keep) for i, x in enumerate(table)]
+    bit = 1 << (v - bits)
+    return [(i, table[i | bit] & ~x) for i, x in enumerate(table) if not i & bit]
+
+
+def _fewest_cells(table: list[int], bits: int, k: int) -> int:
+    """The vertex of the k local vertices whose excision leaves the fewest
+    cells, the lowest one on a tie.
+
+    Nonfaces are closed upward, so the cells of v, the faces x without v
+    with x | v a nonface, number N_v - (N - N_v) for N nonfaces of which
+    N_v hold v: the fewest cells are where the fewest nonfaces hold v.
+    """
+    held = [0] * k
+    low = [(1 << v, _ones(bits, 1, v)) for v in range(bits)]
+    for i, x in enumerate(table):
+        for v, (shift, keep) in enumerate(low):
+            held[v] += (x >> shift & keep).bit_count()
+        if i:
+            size = x.bit_count()
+            for v in range(bits, k):
+                if i >> (v - bits) & 1:
+                    held[v] += size
+    return held.index(min(held))
+
+
+def _relative_homology(w: int, gens, audit: bool,
                        lo: int = 0, hi: int | None = None) -> list[int]:
     """h[s - lo] for s = lo..hi (every level when hi is None): the
-    dimension of the reduced homology of the complex restricted to the
-    nonempty vertex mask w, in degree s - 1, from the cells of
-    H(del_v, lk_v); the boundary drops the facets that lie in lk_v.
+    dimension of the reduced homology of the complex of the generators
+    restricted to the nonempty vertex mask w, in degree s - 1, from the
+    cells of H(del_v, lk_v) for the vertex v that leaves the fewest; the
+    boundary drops the facets that lie in lk_v.
 
-    Only the cells of sizes lo - 1 .. hi + 1 are kept, the ones the two
+    Only the cells of sizes lo - 1 .. hi + 1 are listed, the ones the two
     boundary ranks around each level of the window need.  audit checks
     the whole complex, so it needs the whole window.
     """
-    v = w & -w
-    rest = w ^ v
-    top = rest.bit_count()
+    k = w.bit_count()
+    bits = min(_BLOCK_BITS, k)
+    table = _own_table(w, gens)
+    v = _fewest_cells(table, bits, k)
+    top = k - 1
     if hi is None:
         hi = top
     below = lo - 1
     above = hi + 1
+    levels = _levels(bits)
     cells: list[list[int]] = [[] for _ in range(top + 1)]
-    sub = rest
-    while True:
-        if not nonface[sub] and nonface[sub | v]:
-            size = sub.bit_count()
-            if below <= size <= above:
-                cells[size].append(sub)
-        if sub == 0:
-            break
-        sub = (sub - 1) & rest
+    for i, c in _cells(table, bits, v):
+        if not c:
+            continue
+        off = i.bit_count()  # the size a block's masks take from its index
+        base = i << bits
+        for s in range(max(below, off), min(above, top, off + bits) + 1):
+            level = cells[s]
+            m = c & levels[s - off]
+            while m:
+                x = m.bit_length() - 1
+                m ^= 1 << x
+                level.append(base | x)
     # Cells are closed upward, not downward: a level may be empty below a
     # non-empty one, so empty levels are skipped, not a stopping point.
     ranks = [0] * (top + 2)
@@ -163,15 +239,16 @@ def _relative_homology(w: int, nonface: bytes, audit: bool,
         ranks[s] = rank_of_words(map(boundary, cells[s]))
     hs = [len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(lo, hi + 1)]
     if audit:
-        _audit_relative(w, nonface, cells, ranks, hs)
+        _audit_relative(w, table, cells, ranks, hs)
     return hs
 
 
-def _audit_relative(w: int, nonface: bytes, cells: list[list[int]],
+def _audit_relative(w: int, table: list[int], cells: list[list[int]],
                     ranks: list[int], hs: list[int]) -> None:
     """TheoremViolation unless the ranks fit the cell counts, the Euler
     characteristic of the cells matches their homology, and the cells'
-    alternating count equals that of all faces inside w."""
+    alternating count equals that of all faces inside w, read off w's own
+    nonface table."""
     euler = 0  # sum of (-1)^s (c - h); zero when the ranks are consistent
     cell_chi = 0
     for s, level in enumerate(cells):
@@ -183,27 +260,26 @@ def _audit_relative(w: int, nonface: bytes, cells: list[list[int]],
     if euler:
         raise TheoremViolation(
             f"Euler mismatch: cells and homology differ by {euler}")
+    bits = min(_BLOCK_BITS, w.bit_count())
+    every = _ones(bits, 1)
+    odd = sum(_levels(bits)[1::2])  # the masks of odd size, fields disjoint
     face_chi = 0
-    sub = w
-    while True:
-        if not nonface[sub]:
-            face_chi += -1 if sub.bit_count() % 2 else 1
-        if sub == 0:
-            break
-        sub = (sub - 1) & w
+    for i, x in enumerate(table):
+        faces = ~x & every
+        chi = faces.bit_count() - 2 * (faces & odd).bit_count()
+        face_chi += -chi if i.bit_count() % 2 else chi
     if cell_chi != face_chi:
         raise TheoremViolation(
             f"relative Euler mismatch on {bin(w)}: cells give {cell_chi}, "
             f"faces give {face_chi}")
 
 
-def _sweep_tables(ideal: MonomialIdeal) -> tuple[set[int], bytes]:
-    """The lcm lattice and the nonface table a sweep runs on, after the
-    size cap and, while the lattice grows, MASK_BUDGET."""
+def _sweep_lattice(ideal: MonomialIdeal) -> set[int]:
+    """The lcm lattice a sweep runs on, after the size cap and, while the
+    lattice grows, MASK_BUDGET."""
     if ideal.n > size_cap():
         raise CapExceeded(f"2^{ideal.n} sweep exceeds cap {size_cap()}")
-    lcms = _lcm_lattice(ideal.gens)
-    return lcms, _nonface_table(ideal.n, ideal.gens)
+    return _lcm_lattice(ideal.gens)
 
 
 def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTable:
@@ -212,19 +288,19 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
 
     The sum runs over the lcm lattice of the generators, the empty set
     included (it gives beta_{0,0} = 1 unless the ideal is the whole
-    ring).  A lattice whose sweep would pass MASK_BUDGET submask visits
+    ring).  A lattice whose sum of 2^(|W|-1) passes MASK_BUDGET
     raises CapExceeded before any homology is computed.  audit re-checks
     the ranks and the Euler characteristics of every set touched, and
     that the minimal shifts rise through the degrees 1..pd with no gap.
     """
-    lcms, nonface = _sweep_tables(ideal)
+    lcms = _sweep_lattice(ideal)
     table: dict[tuple[int, int], int] = {}
-    if not nonface[0]:  # W = {}: the empty face, unless the ideal is (1)
+    if 0 not in ideal.gens:  # W = {}: the empty face, unless the ideal is (1)
         table[(0, 0)] = 1
     lcms.discard(0)
     for w in lcms:
         j = w.bit_count()
-        for s, h in enumerate(_relative_homology(w, nonface, audit)):
+        for s, h in enumerate(_relative_homology(w, ideal.gens, audit)):
             if h:
                 key = (j - s, j)  # homological degree i = j - (s-1) - 1
                 table[key] = table.get(key, 0) + h
@@ -246,24 +322,29 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
     The lcm lattice is swept by ascending size j.  With t shifts found,
     only degree t + 1 can first appear at size j (see the module
     docstring), that is the homology at cell level s = j - t - 1, and
-    the first W of size j where it is nonzero settles the shift.  The
-    same MASK_BUDGET refusal applies.  audit also builds the audited
-    full table and raises TheoremViolation unless its minimal shifts
-    are these.
+    the first W of size j where it is nonzero settles the shift.  A W
+    that holds t generators or fewer cannot have it (Taylor's bound), so
+    the sweep never computes one.  The same MASK_BUDGET refusal applies.
+    audit also builds the audited full table and raises TheoremViolation
+    unless its minimal shifts are these.
     """
-    lcms, nonface = _sweep_tables(ideal)
     by_size: dict[int, list[int]] = {}
-    for w in lcms:
+    for w in _sweep_lattice(ideal):
         if w:
             by_size.setdefault(w.bit_count(), []).append(w)
     shifts: list[int] = []
     for j in sorted(by_size):
-        s = j - len(shifts) - 1
-        # beta_{i,W} is at most the number of i-sets of generators with
-        # union W (Taylor), so the sets holding the most generators go first.
-        ws = sorted(by_size[j], key=lambda w: -sum(g & w == g for g in ideal.gens))
-        if any(_relative_homology(w, nonface, False, s, s)[0] for w in ws):
-            shifts.append(j)
+        t = len(shifts)
+        # beta_{t+1,W} is at most the number of (t+1)-sets of generators
+        # inside W (Taylor): the sets holding the most generators go first,
+        # and none holding t or fewer can add degree t + 1.
+        held = {w: sum(g & w == g for g in ideal.gens) for w in by_size[j]}
+        for w in sorted(by_size[j], key=lambda w: -held[w]):
+            if held[w] <= t:
+                break
+            if _relative_homology(w, ideal.gens, False, j - t - 1, j - t - 1)[0]:
+                shifts.append(j)
+                break
     if audit:
         full = betti_table_hochster(ideal, audit=True)
         if min_shifts(full) != tuple(shifts) or full.pd != len(shifts):

@@ -81,8 +81,8 @@ def test_verify_audit_checks_the_targeted_testset_sweep(toy63, monkeypatch):
 
     whole = resolution._relative_homology
 
-    def window_blind(w, nonface, audit, lo=0, hi=None):
-        return [0] if hi is not None else whole(w, nonface, audit, lo, hi)
+    def window_blind(w, gens, audit, lo=0, hi=None):
+        return [0] if hi is not None else whole(w, gens, audit, lo, hi)
 
     monkeypatch.setattr(resolution, "_relative_homology", window_blind)
     order = TermOrder.default(6)

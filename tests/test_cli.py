@@ -294,6 +294,18 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert rc == 1
 
 
+@pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+def test_cli_output_to_an_unwritable_path(tmp_path, capsys, target):
+    """A missing directory and a directory in place of a file: exit 1 with
+    a message, no traceback and no document."""
+    path = str(tmp_path / target)
+    rc, out, err = run_cli(capsys, "ghw", TOY, "-o", path)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"ghw: cannot write {path}: ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("search", "--n", "-3", "--k", "2", "--trials", "1"), "--n"),
     (("search", "--n", "4", "--k", "6", "--trials", "1"), "--k"),

@@ -27,8 +27,8 @@ from ghw import (
 from ghw import resolution
 from ghw.gf2 import rank_of_words
 from ghw.groebner import test_set as extract_testset
-from ghw.resolution import (BettiTable, MonomialIdeal, _audit_relative, _nonface_table,
-                            _relative_homology)
+from ghw.resolution import (BettiTable, MonomialIdeal, _audit_relative, _fewest_cells,
+                            _nonface_table, _own_table, _relative_homology)
 
 import known_codes as kc
 from test_codes import random_code
@@ -83,6 +83,24 @@ def nonface_by_mask(n: int, gens, ground: int) -> bytearray:
         if mask == ground:
             return table
         mask = (mask - ground) & ground
+
+
+def unpack(blocks: list[int], n: int) -> bytearray:
+    """A nonface table of packed one-bit blocks, 2^n masks in all, as one
+    byte per mask."""
+    bits = n - (len(blocks).bit_length() - 1)
+    return bytearray(blocks[m >> bits] >> (m & ((1 << bits) - 1)) & 1
+                     for m in range(1 << n))
+
+
+def expand(x: int, w: int) -> int:
+    """The local mask x of w's own coordinates as an ambient mask: local
+    bit i is the i-th lowest vertex of w."""
+    out = 0
+    for i, p in enumerate(j for j in range(w.bit_length()) if w >> j & 1):
+        if x >> i & 1:
+            out |= 1 << p
+    return out
 
 
 def _faces_by_size(w: int, nonface: bytearray) -> list[list[int]]:
@@ -412,7 +430,7 @@ def test_nonface_table_matches_mask_by_mask_oracle(ideal, bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(resolution, "_BLOCK_BITS", bits)
         table = _nonface_table(ideal.n, ideal.gens)
-    assert table == nonface_by_mask(ideal.n, ideal.gens, (1 << ideal.n) - 1)
+    assert unpack(table, ideal.n) == nonface_by_mask(ideal.n, ideal.gens, (1 << ideal.n) - 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -482,9 +500,9 @@ def test_betti_cells_skip_levels_or_hold_the_empty_set(gens, table):
 def test_audit_rejects_cells_unlike_the_full_restriction():
     """Cells whose ranks and homology agree with each other but whose
     alternating count is not that of the faces inside w."""
-    nonface = bytearray(4)  # no generators: w = {1, 2} is a full simplex
+    table = [0]  # w's own table, no generators: w = {1, 2} is a full simplex
     with pytest.raises(TheoremViolation, match="relative Euler"):
-        _audit_relative(0b11, nonface, [[0], []], [0, 0, 0], [1, 0])
+        _audit_relative(0b11, table, [[0], []], [0, 0, 0], [1, 0])
 
 
 # Test-set ideal of random_code(random.Random(1), 16, 8) under the default
@@ -551,12 +569,59 @@ def test_targeted_sweep_matches_full_table(ideal):
 def test_relative_homology_window_is_a_slice_of_the_whole(ideal, data):
     """A window of cell levels gives the same homology as those levels of
     the whole complex."""
-    nonface = _nonface_table(ideal.n, ideal.gens)
     w = data.draw(st.integers(1, (1 << ideal.n) - 1))
-    whole = _relative_homology(w, nonface, True)
+    whole = _relative_homology(w, ideal.gens, True)
     lo = data.draw(st.integers(0, len(whole) - 1))
     hi = data.draw(st.integers(lo, len(whole) - 1))
-    assert _relative_homology(w, nonface, False, lo, hi) == whole[lo:hi + 1]
+    assert _relative_homology(w, ideal.gens, False, lo, hi) == whole[lo:hi + 1]
+
+
+BLOCK_SIZES = (2, 3, resolution._BLOCK_BITS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ideals_up_to_12_variables(), st.data(), st.sampled_from(BLOCK_SIZES))
+def test_own_table_is_the_oracle_restricted_to_w(ideal, data, bits):
+    """W's own nonface table, in W's coordinates, against the mask-by-mask
+    table of the ambient read at the masks inside W."""
+    w = data.draw(st.integers(1, (1 << ideal.n) - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_BLOCK_BITS", bits)
+        table = _own_table(w, ideal.gens)
+    oracle = nonface_by_mask(ideal.n, ideal.gens, w)
+    k = w.bit_count()
+    assert unpack(table, k) == bytearray(oracle[expand(x, w)] for x in range(1 << k))
+
+
+@settings(max_examples=120, deadline=None)
+@given(generator_families(), st.data(), st.sampled_from(BLOCK_SIZES))
+@example(ideal_from_supports(5, [mask(1, 2), mask(2, 3), mask(2, 4), mask(2, 5),
+                                 mask(1, 3, 4, 5)]), None, 2)
+def test_excising_any_vertex_gives_the_homology_of_the_restriction(ideal, data, bits):
+    """Excision holds for every vertex v of W, so each v gives the
+    face-by-face homology of the full restriction; the kernel picks the v
+    with the fewest cells, the lowest on a tie.  Blocks of 2^2 and 2^3
+    masks send the vertices above them through the step that pairs whole
+    blocks."""
+    w = (1 << ideal.n) - 1 if data is None else data.draw(st.integers(1, (1 << ideal.n) - 1))
+    k = w.bit_count()
+    faces = restricted_faces(ideal, w)
+    dims = reduced_homology_dims(faces)
+    assert all(-1 <= d < k - 1 for d in dims)
+    expected = [dims.get(s - 1, 0) for s in range(k)]
+    face_set = {f for level in faces.values() for f in level}
+    vertices = [1 << j for j in range(ideal.n) if w >> j & 1]
+    counts = [sum(not f & p and f | p not in face_set for f in face_set) for p in vertices]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_BLOCK_BITS", bits)
+        table = _own_table(w, ideal.gens)
+        assert _fewest_cells(table, min(bits, k), k) == counts.index(min(counts))
+        assert _relative_homology(w, ideal.gens, True) == expected
+        for v in range(k):
+            mp.setattr(resolution, "_fewest_cells", lambda table, bits, k, v=v: v)
+            assert _relative_homology(w, ideal.gens, True) == expected
+            lo = data.draw(st.integers(0, k - 1)) if data else 0
+            assert _relative_homology(w, ideal.gens, False, lo, lo) == expected[lo:lo + 1]
 
 
 @pytest.mark.parametrize("kind", ["degrevlex", "deglex"])
@@ -571,6 +636,26 @@ def test_targeted_sweep_fixture_testset_shifts(fixture, shifts, kind, request):
     basis, _ = reduced_groebner_basis(code, TermOrder.default(code.n, kind))
     ideal = ideal_from_supports(code.n, extract_testset(basis, code))
     assert hochster_min_shifts(ideal) == shifts
+
+
+@pytest.mark.parametrize("kind, calls", [("degrevlex", 371), ("deglex", 452)])
+def test_targeted_sweep_skips_sets_holding_too_few_generators(code149, kind, calls,
+                                                              monkeypatch):
+    """With t shifts found, a set holding t generators or fewer cannot add
+    degree t + 1 (Taylor), so the [14,9] test-set sweep stops each size at
+    the first such set: this many kernel calls in all."""
+    basis, _ = reduced_groebner_basis(code149, TermOrder.default(14, kind))
+    ideal = ideal_from_supports(14, extract_testset(basis, code149))
+    kernel = _relative_homology
+    seen = []
+
+    def counted(*args):
+        seen.append(args[0])
+        return kernel(*args)
+
+    monkeypatch.setattr(resolution, "_relative_homology", counted)
+    assert hochster_min_shifts(ideal) == kc.CODE149_GHW
+    assert len(seen) == calls
 
 
 def test_targeted_sweep_refused_past_the_mask_budget(monkeypatch):
@@ -592,8 +677,8 @@ def test_targeted_sweep_audit_rejects_a_wrong_window(monkeypatch):
     audit compares them with the full audited table."""
     whole = _relative_homology
 
-    def window_blind(w, nonface, audit, lo=0, hi=None):
-        return [0] if hi is not None else whole(w, nonface, audit, lo, hi)
+    def window_blind(w, gens, audit, lo=0, hi=None):
+        return [0] if hi is not None else whole(w, gens, audit, lo, hi)
 
     monkeypatch.setattr(resolution, "_relative_homology", window_blind)
     ideal = ideal_from_supports(6, [mask(1, 2), mask(3, 4)])
@@ -606,7 +691,7 @@ def test_betti_audit_rejects_a_gap_in_the_minimal_shifts(monkeypatch):
     """Homology moved to a lower cell level of x1 x2 x3 puts beta_{2,3}
     in a table with no beta_1: the minimal shifts leave degree 1 empty."""
     monkeypatch.setattr(resolution, "_relative_homology",
-                        lambda w, nonface, audit: [0, 1, 0])
+                        lambda w, gens, audit: [0, 1, 0])
     ideal = ideal_from_supports(3, [0b111])
     assert betti_table_hochster(ideal).entries == {(0, 0): 1, (2, 3): 1}
     with pytest.raises(TheoremViolation, match="gap"):
