@@ -22,7 +22,7 @@ from .analysis import (
     verify_code,
 )
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
-from .errors import CapExceeded, GhwError, TheoremViolation, size_cap
+from .errors import SIZE_CAP, CapExceeded, GhwError, TheoremViolation
 from .gf2 import word_from_string, word_to_string
 from .groebner import TermOrder, decode, reduced_groebner_basis, test_set
 from .io import (
@@ -263,8 +263,8 @@ def _cmd_verify(args) -> tuple[dict, dict | None, dict]:
 
 
 def _cmd_search(args) -> tuple[dict, dict | None, dict]:
-    if args.n > size_cap():
-        raise CapExceeded(f"--n {args.n} exceeds cap {size_cap()}")
+    if args.n > SIZE_CAP:
+        raise CapExceeded(f"--n {args.n} exceeds cap {SIZE_CAP}")
     if args.k > args.n:
         raise GhwError(f"--k must be at most --n={args.n}, got {args.k}")
     if args.use_order:
@@ -292,8 +292,7 @@ def make_parser() -> argparse.ArgumentParser:
                     "Groebner test sets.",
         epilog="Matrix files: one row per line, space-separated 0/1 entries, "
                "blank lines and # comments ignored. Bitstrings are printed "
-               "with coordinate 1 leftmost. GHW_SIZE_CAP overrides the "
-               "length cap of 24 (unsupported; for experimentation only).")
+               "with coordinate 1 leftmost.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ghw", help="weight hierarchy by a chosen route")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from .errors import CapExceeded, LengthCapExceeded, TheoremViolation, ZeroCode, size_cap
+from .errors import SIZE_CAP, LengthCapExceeded, TheoremViolation, ZeroCode
 from .gf2 import (_BLOCK_BITS, BinaryMatrix, _indicator_blocks, _ones, _subset_transform,
                   inclusion_minimal, kernel_basis, rref)
 from .resolution import BettiTable
@@ -42,9 +42,8 @@ class Code:
 
     @classmethod
     def from_generator(cls, m: BinaryMatrix) -> "Code":
-        if m.ncols > size_cap():
-            raise LengthCapExceeded(
-                f"length {m.ncols} exceeds cap {size_cap()}")
+        if m.ncols > SIZE_CAP:
+            raise LengthCapExceeded(f"length {m.ncols} exceeds cap {SIZE_CAP}")
         red, rank, _ = rref(m)
         if rank == 0:
             raise ZeroCode("generator matrix has rank 0")
@@ -114,7 +113,7 @@ def ghw_bruteforce(c: Code, h: int) -> int:
     return ghw_hierarchy(c).values[h - 1]
 
 
-_BIAS = 1 << 31  # a Moebius field holds m + 2^31 in 32 bits
+_BIAS = 1 << 31  # a Moebius field holds m + 2^31 in 32 bits; |m| < 2^(n-1) <= 2^23
 
 _FACE = bytes([1]) + bytes(255)  # translate table: dim 0 -> 1, any other -> 0
 
@@ -186,8 +185,6 @@ def circuit_betti_table(c: Code, dims: bytes | None = None) -> BettiTable:
     indicator gives m for every W at once.  The table is the same over
     every field.  Pass dims to reuse a subcode_dims table built for c.
     """
-    if c.n > 30:  # |m| stays below 2^(n-1) through the transform
-        raise CapExceeded(f"length {c.n}: Moebius values need more than 32 bits")
     if dims is None:
         dims = subcode_dims(c)
     bits = min(_BLOCK_BITS, c.n)

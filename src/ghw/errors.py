@@ -1,35 +1,11 @@
-"""Exception types and the global enumeration size cap."""
+"""Exception types and the code length cap."""
 
 from __future__ import annotations
 
-import os
-
-DEFAULT_SIZE_CAP = 24
-
-# Environment override for experimentation only; anything above 24 is
-# unsupported and can exhaust memory: the oracle holds one byte per
-# coordinate subset (16 MB at n = 24) and the circuit-ideal Betti table four
-# more.  The Hochster sweep of test-set ideals is bounded on its own: the sum
-# of 2^(|W|-1) over its lcm lattice, a size bound rather than a count of its
-# work, must stay under resolution.MASK_BUDGET.
-SIZE_CAP_ENV = "GHW_SIZE_CAP"
-
-
-def size_cap() -> int:
-    """Current length cap (default 24, overridable via GHW_SIZE_CAP).
-
-    A value that is not a positive integer raises GhwError.
-    """
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_SIZE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise GhwError(f"{SIZE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return cap
+# Longest code length accepted.  The oracle holds one byte per coordinate
+# subset (16 MB at n = 24) and the circuit-ideal Betti table four more; the
+# Hochster sweep is bounded on its own by resolution.MASK_BUDGET.
+SIZE_CAP = 24
 
 
 class GhwError(Exception):

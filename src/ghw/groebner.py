@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .codes import Code
-from .errors import CapExceeded, TheoremViolation, size_cap
+from .errors import TheoremViolation
 from .gf2 import bitstring_sorted, word_to_string
 
 
@@ -188,10 +188,6 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     """
     if order.n != c.n:
         raise ValueError(f"order on {order.n} variables, code length {c.n}")
-    cap = size_cap()
-    if c.n > cap:
-        raise CapExceeded(f"length {c.n} exceeds cap {cap}")
-
     parity_rows = c.parity.rows
     columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
 
@@ -238,9 +234,6 @@ def coset_minima(c: Code) -> dict[int, tuple[int, ...]]:
     iff no lighter weight has reached its coset.  Syndromes are those of
     CosetTable.
     """
-    cap = size_cap()
-    if c.n > cap:
-        raise CapExceeded(f"length {c.n} exceeds cap {cap}")
     columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
     cosets = 1 << (c.n - c.k)
     minima: dict[int, list[int]] = {0: [0]}

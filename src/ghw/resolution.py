@@ -34,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import CapExceeded, EmptyAmbient, TheoremViolation, TooFewGenerators, size_cap
+from .errors import (SIZE_CAP, CapExceeded, EmptyAmbient, LengthCapExceeded, TheoremViolation,
+                     TooFewGenerators)
 from .gf2 import _BLOCK_BITS, _ones, _subset_transform, inclusion_minimal, rank_of_words
 
 # A size bound: a sweep whose lcm lattice has a sum of 2^(|W|-1) past this
@@ -80,10 +81,13 @@ def ideal_from_supports(n: int, supports) -> MonomialIdeal:
     generator supports.
 
     Supports of minimal-support codewords are already incomparable, so
-    for those inputs the filter is a no-op.
+    for those inputs the filter is a no-op.  More than SIZE_CAP variables
+    raise LengthCapExceeded.
     """
     if n == 0:
         raise EmptyAmbient("no variables")
+    if n > SIZE_CAP:
+        raise LengthCapExceeded(f"{n} variables exceed cap {SIZE_CAP}")
     mask_all = (1 << n) - 1
     supports = set(supports)
     for s in supports:
@@ -274,14 +278,6 @@ def _audit_relative(w: int, table: list[int], cells: list[list[int]],
             f"faces give {face_chi}")
 
 
-def _sweep_lattice(ideal: MonomialIdeal) -> set[int]:
-    """The lcm lattice a sweep runs on, after the size cap and, while the
-    lattice grows, MASK_BUDGET."""
-    if ideal.n > size_cap():
-        raise CapExceeded(f"2^{ideal.n} sweep exceeds cap {size_cap()}")
-    return _lcm_lattice(ideal.gens)
-
-
 def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTable:
     """Graded Betti table of R/I over GF(2) from homology of restricted
     complexes.
@@ -293,7 +289,7 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
     the ranks and the Euler characteristics of every set touched, and
     that the minimal shifts rise through the degrees 1..pd with no gap.
     """
-    lcms = _sweep_lattice(ideal)
+    lcms = _lcm_lattice(ideal.gens)
     table: dict[tuple[int, int], int] = {}
     if 0 not in ideal.gens:  # W = {}: the empty face, unless the ideal is (1)
         table[(0, 0)] = 1
@@ -329,7 +325,7 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
     unless its minimal shifts are these.
     """
     by_size: dict[int, list[int]] = {}
-    for w in _sweep_lattice(ideal):
+    for w in _lcm_lattice(ideal.gens):
         if w:
             by_size.setdefault(w.bit_count(), []).append(w)
     shifts: list[int] = []

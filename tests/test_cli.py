@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from ghw import BinaryMatrix, Code, MatrixParseError, min_pair_union
+from ghw import (Code, MatrixParseError, TermOrder, min_pair_union, reduced_groebner_basis,
+                 word_to_string)
 from ghw.cli import main
-from ghw.io import dumps_document, parse_matrix_text, render_betti_diagram
+from ghw.groebner import test_set as extract_testset
+from ghw.io import dumps_document, load_matrix, parse_matrix_text, render_betti_diagram
 from ghw.resolution import BettiTable
 
 import known_codes as kc
@@ -188,6 +190,49 @@ def test_cli_gb_worked63_contains_named_binomial(capsys):
     assert ["000011", "001000"] in doc["result"]["squarefree_binomials"]
 
 
+def test_cli_gb_order_flags_match_the_library(capsys):
+    """The README example: --vars lists the priority highest first and
+    1-based, so 6,5,4,3,2,1 is the library's priority (5, 4, 3, 2, 1, 0)."""
+    doc = run_json(capsys, "gb", WORKED, "--order", "degrevlex",
+                   "--vars", "6,5,4,3,2,1")
+    code = Code.from_generator(load_matrix(WORKED))
+    basis, _ = reduced_groebner_basis(code, TermOrder("degrevlex", (5, 4, 3, 2, 1, 0)))
+    assert doc["params"]["order"] == {"kind": "degrevlex", "vars": [6, 5, 4, 3, 2, 1]}
+    binomials = [[word_to_string(b.lead, 6), word_to_string(b.trail, 6)]
+                 for b in basis.binomials]
+    assert doc["result"]["squarefree_binomials"] == binomials
+    assert doc["result"]["test_set"] == [
+        word_to_string(w, 6) for w in extract_testset(basis, code)]
+    default = run_json(capsys, "gb", WORKED)["result"]["squarefree_binomials"]
+    assert default != binomials
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1,2,3", "--vars must be a permutation of 1..6"),
+    ("1,2,3,4,5,x", "--vars must be comma-separated integers, got '1,2,3,4,5,x'"),
+], ids=["not-a-permutation", "not-integers"])
+def test_cli_rejects_bad_vars(capsys, value, message):
+    rc, out, err = run_cli(capsys, "gb", WORKED, "--vars", value)
+    assert rc == 1
+    assert out == ""
+    assert err == f"ghw: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("betti", TOY, "--ideal", "union-testsets", "--use-order", "lex:1,2,3,4,5,6"),
+     "bad order spec 'lex:1,2,3,4,5,6': kind must be deglex or degrevlex"),
+    (("betti", TOY, "--ideal", "union-testsets", "--use-order", "deglex:a,b"),
+     "bad order spec 'deglex:a,b': variables must be integers"),
+    (("search", "--n", "6", "--k", "3", "--trials", "0", "--use-order", "deglex:1,2"),
+     "bad order spec 'deglex:1,2': need a permutation of 1..6"),
+], ids=["bad-kind", "not-integers", "not-a-permutation"])
+def test_cli_rejects_bad_order_specs(capsys, argv, message):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"ghw: {message}\n"
+
+
 def test_cli_decode(capsys):
     doc = run_json(capsys, "decode", REP31, "110")
     assert doc["result"] == {
@@ -277,7 +322,7 @@ def test_cli_determinism_modulo_timing(capsys):
     assert docs[0] == docs[1]
 
 
-def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
+def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("1 0\n1 2\n")
     rc, _, err = run_cli(capsys, "ghw", str(bad))
@@ -286,8 +331,9 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     rc, _, _ = run_cli(capsys, "ghw", str(tmp_path / "missing.txt"))
     assert rc == 1
 
-    monkeypatch.setenv("GHW_SIZE_CAP", "4")
-    rc, _, err = run_cli(capsys, "ghw", TOY)
+    wide = tmp_path / "wide25.txt"
+    wide.write_text(" ".join("1" * 25) + "\n")
+    rc, _, err = run_cli(capsys, "ghw", str(wide))
     assert rc == 2 and "cap" in err.lower()
 
     rc, _, _ = run_cli(capsys, "nonsense")
@@ -333,9 +379,8 @@ def test_cli_all_orders_refused_above_n9(capsys):
     assert "--sample-orders" in err and "--use-order" in err
 
 
-def test_cli_search_length_above_cap(capsys, monkeypatch):
-    monkeypatch.setenv("GHW_SIZE_CAP", "8")
-    rc, out, err = run_cli(capsys, "search", "--n", "9", "--k", "2",
+def test_cli_search_length_above_cap(capsys):
+    rc, out, err = run_cli(capsys, "search", "--n", "25", "--k", "2",
                            "--trials", "0")
     assert rc == 2
     assert out == ""
@@ -363,25 +408,6 @@ def test_cli_search_rejects_injected_length_mismatch(capsys):
     assert out == ""
     assert path in err and "14" in err and "--n 6" in err
     assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-5"])
-def test_cli_rejects_bad_size_cap(capsys, monkeypatch, value):
-    monkeypatch.setenv("GHW_SIZE_CAP", value)
-    rc, out, err = run_cli(capsys, "gb", REP31)
-    assert rc == 1
-    assert out == ""
-    assert "GHW_SIZE_CAP" in err
-    assert "Traceback" not in err
-
-
-def test_size_cap_env_override(monkeypatch):
-    wide = BinaryMatrix((1,), 25)
-    with pytest.raises(Exception):
-        Code.from_generator(wide)
-    monkeypatch.setenv("GHW_SIZE_CAP", "30")
-    code = Code.from_generator(wide)
-    assert code.n == 25
 
 
 def test_public_api_resolves():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import ghw.codes
 from ghw import (
     BinaryMatrix,
-    CapExceeded,
     Code,
     LengthCapExceeded,
     TheoremViolation,
@@ -323,9 +322,3 @@ def test_circuit_table_reproduces_pinned_diagrams(toy63, code107, code149):
         kc.CODE107_CIRCUIT_DIAGRAM_ROWS)
     assert circuit_betti_table(code149).entries == kc.table_from_diagram_rows(
         kc.CODE149_CIRCUIT_DIAGRAM_ROWS)
-
-
-def test_circuit_table_refuses_lengths_past_32_bit_fields(monkeypatch):
-    monkeypatch.setenv("GHW_SIZE_CAP", "31")
-    with pytest.raises(CapExceeded):
-        circuit_betti_table(Code.from_generator(BinaryMatrix((1,), 31)))

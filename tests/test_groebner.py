@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ghw import (
     BinaryMatrix,
-    CapExceeded,
     Code,
     TermOrder,
     decode,
@@ -270,12 +269,6 @@ def test_groebner_full_space_code():
     assert table.leaders == {0: 0}
     # sorted by bitstring, coordinate 1 leftmost: "001" < "010" < "100"
     assert extract_testset(basis, code) == (0b100, 0b010, 0b001)
-
-
-def test_groebner_cap(monkeypatch, toy63):
-    monkeypatch.setenv("GHW_SIZE_CAP", "4")
-    with pytest.raises(CapExceeded):
-        reduced_groebner_basis(toy63, TermOrder.default(6))
 
 
 def _random_order(rng, n):

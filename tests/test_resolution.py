@@ -666,12 +666,6 @@ def test_targeted_sweep_refused_past_the_mask_budget(monkeypatch):
         hochster_min_shifts(ideal)
 
 
-def test_targeted_sweep_cap(monkeypatch):
-    monkeypatch.setenv("GHW_SIZE_CAP", "4")
-    with pytest.raises(CapExceeded):
-        hochster_min_shifts(ideal_from_supports(6, [mask(1, 2)]))
-
-
 def test_targeted_sweep_audit_rejects_a_wrong_window(monkeypatch):
     """A window kernel that misses a homology class gives too few shifts;
     audit compares them with the full audited table."""
@@ -760,12 +754,11 @@ def test_betti_zero_ideal():
     assert min_shift_sequence(table) == []
 
 
-def test_betti_cap(monkeypatch):
-    from ghw import CapExceeded
-    ideal = ideal_from_supports(6, [mask(1, 2)])
-    monkeypatch.setenv("GHW_SIZE_CAP", "4")
+def test_ideal_refused_past_the_length_cap():
+    """Both sweeps take their ideal from ideal_from_supports, which
+    refuses more than 24 variables before any sweep starts."""
     with pytest.raises(CapExceeded):
-        betti_table_hochster(ideal)
+        ideal_from_supports(25, [mask(1, 2)])
 
 
 def test_projective_dimensions_against_code_dimension():
