@@ -666,6 +666,13 @@ def test_targeted_sweep_refused_past_the_mask_budget(monkeypatch):
         hochster_min_shifts(ideal)
 
 
+def test_targeted_sweep_cap():
+    """The targeted sweep's ideal on 25 variables is refused when
+    ideal_from_supports builds it, before any sweep starts."""
+    with pytest.raises(CapExceeded):
+        hochster_min_shifts(ideal_from_supports(25, [mask(1, 2)]))
+
+
 def test_targeted_sweep_audit_rejects_a_wrong_window(monkeypatch):
     """A window kernel that misses a homology class gives too few shifts;
     audit compares them with the full audited table."""
@@ -754,11 +761,11 @@ def test_betti_zero_ideal():
     assert min_shift_sequence(table) == []
 
 
-def test_ideal_refused_past_the_length_cap():
-    """Both sweeps take their ideal from ideal_from_supports, which
-    refuses more than 24 variables before any sweep starts."""
+def test_betti_cap():
+    """The full sweep's ideal on 25 variables is refused when
+    ideal_from_supports builds it, before any sweep starts."""
     with pytest.raises(CapExceeded):
-        ideal_from_supports(25, [mask(1, 2)])
+        betti_table_hochster(ideal_from_supports(25, [mask(1, 2)]))
 
 
 def test_projective_dimensions_against_code_dimension():
