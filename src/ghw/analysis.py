@@ -10,8 +10,9 @@ are observed and reported, never enforced.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 from .codes import (Code, GhwSequence, circuit_betti_table, ghw_hierarchy,
@@ -143,26 +144,7 @@ class VerificationReport:
     pd_equals_k: bool
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "generator_rows": list(self.generator_rows),
-            "order": self.order,
-            "degenerate": self.degenerate,
-            "ghw": list(self.ghw),
-            "minshift_full": list(self.minshift_full),
-            "minshift_testset": list(self.minshift_testset),
-            "pd_testset": self.pd_testset,
-            "testset_size": self.testset_size,
-            "basis_size": self.basis_size,
-            "witness_m1": self.witness_m1,
-            "witness_m2": self.witness_m2,
-            "checks": dict(sorted(self.checks.items())),
-            "agreement_by_index": list(self.agreement_by_index),
-            "exact_through_i3": self.exact_through_i3,
-            "full_agreement": self.full_agreement,
-            "pd_equals_k": self.pd_equals_k,
-        }
+        return asdict(self) | {"checks": dict(sorted(self.checks.items()))}
 
 
 def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
@@ -421,7 +403,8 @@ def all_priority_orders(n: int):
 
 
 def sample_orders(n: int, count: int, seed: int) -> list[TermOrder]:
-    """Deterministic sample of distinct degree-compatible orders."""
+    """Deterministic sample of distinct degree-compatible orders (2 * n! at most)."""
+    count = min(count, 2 * math.factorial(n))
     rng = random.Random(seed)
     out: list[TermOrder] = []
     seen = set()

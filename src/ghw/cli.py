@@ -46,15 +46,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_order_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--order", choices=("deglex", "degrevlex"),
-                   default="degrevlex",
-                   help="order kind (default: degrevlex)")
-    p.add_argument("--vars", default=None, metavar="I1,I2,...",
-                   help="variable priority, highest first, 1-based "
-                        "(default: 1,2,...,n)")
-
-
 def _int_at_least(low: int):
     """argparse type: an integer no smaller than low."""
     def parse(text: str) -> int:
@@ -67,11 +58,6 @@ def _int_at_least(low: int):
                 f"must be an integer >= {low}, got {text!r}")
         return value
     return parse
-
-
-def _add_output_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("-o", "--output", default=None,
-                   help="write the result document here instead of stdout")
 
 
 def _term_order(args, n: int) -> TermOrder:
@@ -293,17 +279,24 @@ def make_parser() -> argparse.ArgumentParser:
         epilog="Matrix files: one row per line, space-separated 0/1 entries, "
                "blank lines and # comments ignored. Bitstrings are printed "
                "with coordinate 1 leftmost.")
+    common = argparse.ArgumentParser(add_help=False)  # flags every subcommand takes
+    common.add_argument("--order", choices=("deglex", "degrevlex"),
+                        default="degrevlex",
+                        help="order kind (default: degrevlex)")
+    common.add_argument("--vars", default=None, metavar="I1,I2,...",
+                        help="variable priority, highest first, 1-based "
+                             "(default: 1,2,...,n)")
+    common.add_argument("-o", "--output", default=None,
+                        help="write the result document here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ghw", help="weight hierarchy by a chosen route")
+    p = sub.add_parser("ghw", parents=[common], help="weight hierarchy by a chosen route")
     p.add_argument("matrix")
     p.add_argument("--route", choices=("oracle", "resolution", "testset"),
                    default="oracle")
-    _add_order_flags(p)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_ghw)
 
-    p = sub.add_parser("betti", help="Betti table of a code-derived ideal")
+    p = sub.add_parser("betti", parents=[common], help="Betti table of a code-derived ideal")
     p.add_argument("matrix")
     p.add_argument("--ideal",
                    choices=("stanley-reisner", "testset", "union-testsets"),
@@ -317,31 +310,24 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
                    help="explicit order for the union, repeatable")
     p.add_argument("--seed", type=int, default=0)
-    _add_order_flags(p)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("gb", help="reduced Groebner basis and test set")
+    p = sub.add_parser("gb", parents=[common], help="reduced Groebner basis and test set")
     p.add_argument("matrix")
-    _add_order_flags(p)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_gb)
 
-    p = sub.add_parser("decode", help="decode a word by coset-leader reduction")
+    p = sub.add_parser("decode", parents=[common],
+                       help="decode a word by coset-leader reduction")
     p.add_argument("matrix")
     p.add_argument("word", help="received word as a bitstring")
-    _add_order_flags(p)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("verify", help="run every proven check on one code")
+    p = sub.add_parser("verify", parents=[common], help="run every proven check on one code")
     p.add_argument("matrix")
     p.add_argument("--seed", type=int, default=0)
-    _add_order_flags(p)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", help="randomized counterexample search")
+    p = sub.add_parser("search", parents=[common], help="randomized counterexample search")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--trials", type=_int_at_least(0), required=True)
@@ -350,8 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
                    help="order to test each sampled code under, repeatable")
     p.add_argument("--inject", action="append", metavar="FILE",
                    help="matrix file evaluated before the random stream, repeatable")
-    _add_order_flags(p)
-    _add_output_flag(p)
     p.set_defaults(func=_cmd_search)
     return parser
 

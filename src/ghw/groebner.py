@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .codes import Code
 from .errors import TheoremViolation
-from .gf2 import bitstring_sorted, word_to_string
+from .gf2 import BinaryMatrix, bitstring_sorted, word_to_string
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,11 @@ class CosetTable:
 
     n: int
     order: TermOrder
-    parity_rows: tuple[int, ...]
+    parity: BinaryMatrix
     leaders: dict[int, int]
 
     def syndrome(self, word: int) -> int:
-        s = 0
-        for i, h in enumerate(self.parity_rows):
-            s |= ((h & word).bit_count() & 1) << i
-        return s
+        return self.parity.mul_word(word)
 
 
 def _candidates(frontier, columns, weight: int) -> dict[int, int]:
@@ -188,7 +185,6 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     """
     if order.n != c.n:
         raise ValueError(f"order on {order.n} variables, code length {c.n}")
-    parity_rows = c.parity.rows
     columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
 
     leaders: dict[int, int] = {0: 0}
@@ -216,7 +212,7 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
         raise TheoremViolation(
             f"found {len(leaders)} coset leaders, expected 2^{c.n - c.k}")
     basis = GroebnerBasis(order, c.n, tuple(binomials), tuple(violations))
-    table = CosetTable(c.n, order, parity_rows, leaders)
+    table = CosetTable(c.n, order, c.parity, leaders)
     return basis, table
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import MatrixParseError
-from .gf2 import BinaryMatrix
+from .gf2 import BinaryMatrix, word_from_string
 from .resolution import BettiTable
 
 SCHEMA_VERSION = 1
@@ -34,19 +34,20 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
         elif len(entries) != ncols:
             raise MatrixParseError(
                 line_no, f"row has {len(entries)} entries, expected {ncols}")
-        word = 0
-        for i, e in enumerate(entries):
-            if e == "1":
-                word |= 1 << i
-        rows.append(word)
+        rows.append(word_from_string("".join(entries)))
     if not rows:
         raise MatrixParseError(0, "no matrix rows found")
     return BinaryMatrix(tuple(rows), ncols)
 
 
 def load_matrix(path: str) -> BinaryMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return parse_matrix_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
+    return parse_matrix_text(text)
 
 
 def render_betti_diagram(table: BettiTable) -> str:

@@ -501,3 +501,22 @@ def test_order_inventories():
     sampled = sample_orders(6, 15, seed=3)
     assert sampled == sample_orders(6, 15, seed=3)
     assert len({(o.kind, o.priority) for o in sampled}) == 15
+
+
+def test_sample_orders_past_the_order_count_stops_at_all_of_them(monkeypatch):
+    """n = 3 has 2 * 3! = 12 orders; asking for more returns the same 12
+    without drawing up to the attempt limit (100,100 draws for 2000)."""
+    shuffles = 0
+
+    class CountingRandom(random.Random):
+        def shuffle(self, x):
+            nonlocal shuffles
+            shuffles += 1
+            super().shuffle(x)
+
+    monkeypatch.setattr("ghw.analysis.random.Random", CountingRandom)
+    every = sample_orders(3, 12, seed=0)
+    assert len({(o.kind, o.priority) for o in every}) == 12
+    shuffles = 0
+    assert sample_orders(3, 2000, seed=0) == every
+    assert shuffles < 1000

@@ -256,6 +256,21 @@ def test_cli_verify(capsys):
     assert all(doc["result"]["checks"].values())
 
 
+VERIFY_KEYS = [
+    "n", "k", "generator_rows", "order", "degenerate", "ghw", "minshift_full",
+    "minshift_testset", "pd_testset", "testset_size", "basis_size", "witness_m1",
+    "witness_m2", "checks", "agreement_by_index", "exact_through_i3",
+    "full_agreement", "pd_equals_k",
+]
+
+
+def test_cli_verify_document_key_order(capsys):
+    result = run_json(capsys, "verify", TOY)["result"]
+    assert list(result) == VERIFY_KEYS
+    checks = list(result["checks"])
+    assert checks == sorted(checks)
+
+
 def test_cli_search_empty_and_injected(capsys):
     doc = run_json(capsys, "search", "--n", "6", "--k", "3", "--trials", "0",
                    "--seed", "1")
@@ -397,6 +412,42 @@ def test_cli_rejects_threads_on_every_command(capsys, command, value):
     assert rc == 1
     assert out == ""
     assert "--threads" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, n", [
+    (("ghw", REP31, "--route", "testset"), 3), (("betti", REP31, "--ideal", "testset"), 3),
+    (("gb", REP31), 3), (("decode", REP31, "110"), 3), (("verify", REP31), 3),
+    (("search", "--n", "4", "--k", "2", "--trials", "3"), 4),
+])
+def test_cli_shared_flags_on_every_command(tmp_path, capsys, command, n):
+    """--order, --vars and -o reach every subcommand; the file holds the
+    document that stdout would have held."""
+    flags = ("--order", "deglex", "--vars", ",".join(map(str, range(n, 0, -1))))
+    path = tmp_path / "doc.json"
+    rc, out, err = run_cli(capsys, *command, *flags, "-o", str(path))
+    assert rc == 0, err
+    assert out == ""
+    written = json.loads(path.read_text())
+    printed = run_json(capsys, *command, *flags)
+    written.pop("timing")
+    printed.pop("timing")
+    assert written == printed
+    params = written["params"]
+    expected = {"kind": "deglex", "vars": list(range(n, 0, -1))}
+    assert (params.get("order") or params["orders"][0]) == expected
+
+
+@pytest.mark.parametrize("command", [
+    ("gb",), ("search", "--n", "3", "--k", "2", "--trials", "0", "--inject"),
+])
+def test_cli_matrix_file_not_utf8(tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"1 0 1\n\xff\xfe 1 0\n")
+    rc, out, err = run_cli(capsys, *command, str(bad))
+    assert rc == 1
+    assert out == ""
+    assert err == "ghw: line 2: not UTF-8 text\n"
     assert "Traceback" not in err
 
 
