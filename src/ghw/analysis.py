@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
 from .codes import (Code, GhwSequence, circuit_betti_table, ghw_hierarchy,
-                    minimal_support_codewords, subcode_dims)
+                    minimal_support_codewords)
 from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, word_to_string
 from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
@@ -167,11 +167,11 @@ def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
 
 def _code_facts(c: Code, audit: bool):
     """(hierarchy, minimal supports, circuit table, its min shifts): the
-    per-code facts of the verify battery, from one subcode_dims table."""
-    dims = subcode_dims(c)
-    d = ghw_hierarchy(c, dims).values
+    per-code facts of the verify battery, both tables read off the code's
+    one subcode table."""
+    d = ghw_hierarchy(c).values
     minimal = minimal_support_codewords(c)
-    table_full = circuit_betti_table(c, dims)
+    table_full = circuit_betti_table(c)
     if audit:
         swept = betti_table_hochster(ideal_from_supports(c.n, minimal), audit=True)
         if swept.entries != table_full.entries:

@@ -168,7 +168,7 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     else:
         if args.use_order:
             orders = [_parse_order_spec(s, code.n) for s in args.use_order]
-            params["orders"] = "explicit"
+            params["orders"] = [_order_params(o) for o in orders]
         elif args.all_orders or (code.n <= 7 and not args.sample_orders):
             if code.n > _ALL_ORDERS_MAX_N:
                 raise CapExceeded(
@@ -180,6 +180,7 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
             count = args.sample_orders or 200
             orders = sample_orders(code.n, count, args.seed)
             params["orders"] = f"sampled:{count}"
+            params["seed"] = args.seed
         params["order_count"] = len(orders)
         ideal = union_testsets(code, orders)
         result["union_size"] = len(ideal.gens)

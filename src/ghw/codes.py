@@ -3,13 +3,14 @@ subcode-dimension table behind the generalized-weight oracle and the
 circuit-ideal Betti table.
 
 A code is held as a canonical (rref) generator matrix plus the derived
-parity-check matrix.  subcode_dims gives dim C(W), the dimension of the
-subcode supported inside W, for all 2^n coordinate masks W at one byte
-per mask: one subset-sum (zeta) transform of the codeword indicator,
-O(n 2^n) field updates run on packed blocks of masks.  ghw_hierarchy
-reads d_h = min{|W| : dim C(W) >= h} off it; circuit_betti_table reads
-the Betti table of the circuit ideal off it with one Moebius transform
-more.  Everything here lives under the global length cap enforced at
+parity-check matrix.  Each code builds its subcode table once, on first
+use: dim C(W), the dimension of the subcode supported inside W, for all
+2^n coordinate masks W at one byte per mask, from one subset-sum (zeta)
+transform of the codeword indicator, O(n 2^n) field updates run on
+packed blocks of masks.  ghw_hierarchy reads d_h = min{|W| : dim C(W) >= h}
+off it; circuit_betti_table reads the Betti table of the circuit ideal
+off it with one Moebius transform more; subcode_dims is its bytes view.
+Everything here lives under the global length cap enforced at
 construction.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import SIZE_CAP, LengthCapExceeded, TheoremViolation, ZeroCode
 from .gf2 import (_BLOCK_BITS, BinaryMatrix, _indicator_blocks, _ones, _subset_transform,
@@ -75,6 +77,18 @@ class Code:
     def contains(self, word: int) -> bool:
         return self.parity.mul_word(word) == 0
 
+    @cached_property
+    def _dims(self) -> tuple[int, list[int]]:
+        """(bits, blocks): subcode_dims as packed byte blocks of 2^bits
+        masks each, built once per code."""
+        bits = min(_BLOCK_BITS, self.n)
+        blocks = _indicator_blocks(self.codewords(), self.n, bits)  # count 1 (e = 1) per codeword
+        _subset_transform(blocks, bits, 8, _merge_counts)
+        every = _ones(bits, 8)
+        for i in range(len(blocks)):
+            blocks[i] -= every  # e >= 1 everywhere: the zero word lies in every W
+        return bits, blocks
+
 
 def minimal_support_codewords(c: Code) -> tuple[int, ...]:
     """Nonzero codewords whose support strictly contains no other nonzero
@@ -86,19 +100,13 @@ def minimal_support_codewords(c: Code) -> tuple[int, ...]:
     return inclusion_minimal((w for w in c.codewords() if w), c.n)
 
 
-def ghw_hierarchy(c: Code, dims: bytes | None = None) -> "GhwSequence":
+def ghw_hierarchy(c: Code) -> "GhwSequence":
     """All generalized Hamming weights (d_1, ..., d_k).
 
-    d_h is the smallest |W| with dim C(W) >= h, read off the subcode_dims
-    table: the largest dimension at each subset size, in one pass.  Pass
-    dims to reuse a table already built for c.
+    d_h is the smallest |W| with dim C(W) >= h, read off the code's
+    subcode table: the largest dimension at each subset size, in one pass.
     """
-    bits = min(_BLOCK_BITS, c.n)
-    if dims is None:
-        blocks = _dim_blocks(c, bits)
-    else:
-        blocks = (int.from_bytes(dims[i:i + (1 << bits)], "little")
-                  for i in range(0, len(dims), 1 << bits))
+    bits, blocks = c._dims
     values: list[int] = []
     for s, dim in enumerate(_largest_by_size(blocks, bits, c.n)):
         values += [s] * (dim - len(values))  # the largest dim never shrinks with s
@@ -133,16 +141,6 @@ def _difference(lo: int, hi: int, ones: int) -> int:
     return hi - lo + _BIAS * ones
 
 
-def _dim_blocks(c: Code, bits: int) -> list[int]:
-    """subcode_dims of c as packed byte blocks of 2^bits masks each."""
-    blocks = _indicator_blocks(c.codewords(), c.n, bits)  # count 1 at each codeword: e = 1
-    _subset_transform(blocks, bits, 8, _merge_counts)
-    every = _ones(bits, 8)
-    for i in range(len(blocks)):
-        blocks[i] -= every  # e >= 1 everywhere: the zero word lies in every W
-    return blocks
-
-
 def _largest_by_size(blocks, bits: int, n: int) -> list[int]:
     """best[s] = the largest field over the masks of size s, for packed
     byte blocks whose fields are all below 128."""
@@ -162,16 +160,14 @@ def _largest_by_size(blocks, bits: int, n: int) -> list[int]:
 
 def subcode_dims(c: Code) -> bytes:
     """dims[W] = dim C(W), the dimension of {v in C : supp(v) inside W},
-    for every coordinate mask W, one byte per mask.
-
-    One subset-sum (zeta) transform of the codeword indicator, run on
-    packed blocks of byte fields: O(n 2^n) field updates in all.
+    for every coordinate mask W, one byte per mask: the bytes view of the
+    code's subcode table.
     """
-    bits = min(_BLOCK_BITS, c.n)
-    return b"".join([x.to_bytes(1 << bits, "little") for x in _dim_blocks(c, bits)])
+    bits, blocks = c._dims
+    return b"".join([x.to_bytes(1 << bits, "little") for x in blocks])
 
 
-def circuit_betti_table(c: Code, dims: bytes | None = None) -> BettiTable:
+def circuit_betti_table(c: Code) -> BettiTable:
     """Graded Betti table of R/I for the circuit ideal I of c, generated by
     the supports of the minimal-support codewords.
 
@@ -183,26 +179,24 @@ def circuit_betti_table(c: Code, dims: bytes | None = None) -> BettiTable:
     m(W) = sum over S inside W of (-1)^|W - S| [S is a face], which is
     (-1)^dim C(W) times that rank; one Moebius transform of the face
     indicator gives m for every W at once.  The table is the same over
-    every field.  Pass dims to reuse a subcode_dims table built for c.
+    every field.  It reads the code's subcode table.
     """
-    if dims is None:
-        dims = subcode_dims(c)
-    bits = min(_BLOCK_BITS, c.n)
+    bits, dim_blocks = c._dims
     size = 1 << bits
     fields = bytearray(4 * size)
     fields[3::4] = b"\x80" * size  # m + 2^31, little-endian
     blocks = []
-    for i in range(0, len(dims), size):
-        fields[0::4] = dims[i:i + size].translate(_FACE)
+    for x in dim_blocks:
+        fields[0::4] = x.to_bytes(size, "little").translate(_FACE)
         blocks.append(int.from_bytes(fields, "little"))
     _subset_transform(blocks, bits, 32, _difference)
     unbias = _BIAS * _ones(bits, 32)
     sizes = [t.bit_count() for t in range(size)]
     sums: dict[tuple[int, int], int] = {}
-    for i, x in enumerate(blocks):
+    for i, (x, y) in enumerate(zip(blocks, dim_blocks)):
         p = i.bit_count()
         ms = struct.unpack(f"<{size}i", (x ^ unbias).to_bytes(4 * size, "little"))
-        for m, dim, q in zip(ms, dims[i * size:(i + 1) * size], sizes):
+        for m, dim, q in zip(ms, y.to_bytes(size, "little"), sizes):
             if m:
                 key = (dim, p + q)
                 sums[key] = sums.get(key, 0) + m

@@ -144,8 +144,6 @@ class CosetTable:
     presentation.
     """
 
-    n: int
-    order: TermOrder
     parity: BinaryMatrix
     leaders: dict[int, int]
 
@@ -212,7 +210,7 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
         raise TheoremViolation(
             f"found {len(leaders)} coset leaders, expected 2^{c.n - c.k}")
     basis = GroebnerBasis(order, c.n, tuple(binomials), tuple(violations))
-    table = CosetTable(c.n, order, c.parity, leaders)
+    table = CosetTable(c.parity, leaders)
     return basis, table
 
 
@@ -263,7 +261,7 @@ def test_set(g: GroebnerBasis, c: Code) -> tuple[int, ...]:
 
 
 def normal_form(t: CosetTable, w: int) -> int:
-    """Canonical coset leader of w's coset under the table's order."""
+    """Canonical coset leader of w's coset: the table's leader for its syndrome."""
     return t.leaders[t.syndrome(w)]
 
 

@@ -46,7 +46,8 @@ def load_matrix(path: str) -> BinaryMatrix:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MatrixParseError(data.count(b"\n", 0, exc.start) + 1, "not UTF-8 text")
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise MatrixParseError(line_no, "not UTF-8 text")
     return parse_matrix_text(text)
 
 

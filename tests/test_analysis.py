@@ -61,8 +61,8 @@ def test_verify_audit_sweeps_the_circuit_ideal(toy63, monkeypatch):
 
     fast = analysis.circuit_betti_table
 
-    def top_cell_off_by_one(c, dims=None):
-        entries = dict(fast(c, dims).entries)
+    def top_cell_off_by_one(c):
+        entries = dict(fast(c).entries)
         entries[max(entries)] += 1
         return BettiTable(entries)
 
@@ -95,10 +95,10 @@ def test_verify_audit_checks_the_targeted_testset_sweep(toy63, monkeypatch):
 def test_verify_refuses_testset_sweep_past_budget_before_code_facts(monkeypatch):
     """The seeded [24,12] test-set sweep is past the mask budget: verify
     refuses it before building any per-code table."""
-    import ghw.analysis as analysis
+    import ghw.codes
 
     calls = []
-    monkeypatch.setattr(analysis, "subcode_dims", lambda c: calls.append(c))
+    monkeypatch.setattr(ghw.codes, "_indicator_blocks", lambda *args: calls.append(args))
     code = random_code(random.Random(24), 24, 12)
     with pytest.raises(CapExceeded, match="submask visits"):
         verify_code(code, TermOrder.default(24))
@@ -289,18 +289,20 @@ def test_search_builds_code_facts_once_per_code(monkeypatch):
     """Under three orders, the code-only tables are built once per
     evaluated code and the set lemma once per search."""
     import ghw.analysis as analysis
+    import ghw.codes
 
-    calls = dict.fromkeys(("subcode_dims", "circuit_betti_table",
-                           "check_symmetric_difference_lemma"), 0)
-    for name in calls:
-        def counted(*args, _real=getattr(analysis, name), _name=name, **kwargs):
+    modules = {"_indicator_blocks": ghw.codes, "circuit_betti_table": analysis,
+               "check_symmetric_difference_lemma": analysis}
+    calls = dict.fromkeys(modules, 0)
+    for name, module in modules.items():
+        def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(analysis, name, counted)
+        monkeypatch.setattr(module, name, counted)
     report = counterexample_search(8, 5, trials=10, seed=2,
                                    orders=sample_orders(8, 3, seed=2))
     assert report.evaluated >= 5
-    assert calls == {"subcode_dims": report.evaluated,
+    assert calls == {"_indicator_blocks": report.evaluated,
                      "circuit_betti_table": report.evaluated,
                      "check_symmetric_difference_lemma": 1}
 

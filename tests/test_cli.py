@@ -20,6 +20,7 @@ TOY = str(FIXTURES / "toy63.txt")
 WORKED = str(FIXTURES / "worked63.txt")
 REP31 = str(FIXTURES / "rep31.txt")
 C107 = str(FIXTURES / "code107.txt")
+C149 = str(FIXTURES / "code149.txt")
 
 
 def parse_betti_diagram(text: str) -> BettiTable:
@@ -158,7 +159,22 @@ def test_cli_betti_union_explicit_orders(capsys):
                    "--use-order", "degrevlex:1,2,3,4,5,6",
                    "--use-order", "deglex:6,5,4,3,2,1")
     assert doc["params"]["order_count"] == 2
+    assert doc["params"]["orders"] == [
+        {"kind": "degrevlex", "vars": [1, 2, 3, 4, 5, 6]},
+        {"kind": "deglex", "vars": [6, 5, 4, 3, 2, 1]},
+    ]
     assert doc["result"]["union_size"] == len(doc["result"]["generators"])
+
+
+def test_cli_betti_union_sampled_orders_record_seed(capsys):
+    """Two seeds sample different orders and different unions, and their
+    params say so."""
+    docs = [run_json(capsys, "betti", C149, "--ideal", "union-testsets",
+                     "--sample-orders", "20", "--seed", seed)
+            for seed in ("4", "5")]
+    assert [d["params"]["seed"] for d in docs] == [4, 5]
+    assert docs[0]["params"] | {"seed": 5} == docs[1]["params"]
+    assert docs[0]["result"]["union_size"] != docs[1]["result"]["union_size"]
 
 
 def test_diagram_round_trip_random_tables():
@@ -438,16 +454,20 @@ def test_cli_shared_flags_on_every_command(tmp_path, capsys, command, n):
     assert (params.get("order") or params["orders"][0]) == expected
 
 
-@pytest.mark.parametrize("command", [
-    ("gb",), ("search", "--n", "3", "--k", "2", "--trials", "0", "--inject"),
+@pytest.mark.parametrize("command, end", [
+    pytest.param(command, end, id=f"command{i}{suffix}")
+    for end, suffix in ((b"\n", ""), (b"\r", "-cr"), (b"\r\n", "-crlf"))
+    for i, command in enumerate([
+        ("gb",), ("search", "--n", "3", "--k", "2", "--trials", "0", "--inject")])
 ])
-def test_cli_matrix_file_not_utf8(tmp_path, capsys, command):
+def test_cli_matrix_file_not_utf8(tmp_path, capsys, command, end):
+    """The bad byte is numbered by the same line breaks as the rows."""
     bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"1 0 1\n\xff\xfe 1 0\n")
+    bad.write_bytes(end.join([b"1 0 1", b"0 1 1", b"\xff\xfe 1 0", b""]))
     rc, out, err = run_cli(capsys, *command, str(bad))
     assert rc == 1
     assert out == ""
-    assert err == "ghw: line 2: not UTF-8 text\n"
+    assert err == "ghw: line 3: not UTF-8 text\n"
     assert "Traceback" not in err
 
 

@@ -300,9 +300,8 @@ def test_subcode_dims_match_definition(code, bits):
 def test_hierarchy_matches_reference_sweep(code, bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ghw.codes, "_BLOCK_BITS", bits)
-        alone = ghw_hierarchy(code).values
-        shared = ghw_hierarchy(code, subcode_dims(code)).values
-    assert alone == shared == reference_hierarchy(code)
+        values = ghw_hierarchy(code).values
+    assert values == reference_hierarchy(code)
 
 
 @settings(max_examples=150, deadline=None)
@@ -313,7 +312,37 @@ def test_circuit_table_matches_hochster_sweep(code, bits):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ghw.codes, "_BLOCK_BITS", bits)
         assert circuit_betti_table(code).entries == swept
-        assert circuit_betti_table(code, subcode_dims(code)).entries == swept
+
+
+def test_code_builds_its_subcode_table_once(monkeypatch):
+    """The hierarchy, the circuit table and the bytes view all read one
+    table, built on first use."""
+    calls = []
+
+    def counted(*args, _real=ghw.codes._indicator_blocks):
+        calls.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(ghw.codes, "_indicator_blocks", counted)
+    code = make_code(["110100", "011010", "001011"])
+    ghw_hierarchy(code)
+    circuit_betti_table(code)
+    subcode_dims(code)
+    assert len(calls) == 1
+
+
+def test_cached_table_keeps_its_own_block_size():
+    """A table built under a small block size is read with that size
+    after the patch is undone, and gives the default results."""
+    fresh = make_code(["1101000", "0110100", "0011010", "0001101"])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ghw.codes, "_BLOCK_BITS", 2)
+        patched = make_code(["1101000", "0110100", "0011010", "0001101"])
+        subcode_dims(patched)
+    assert patched._dims[0] == 2
+    assert ghw_hierarchy(patched) == ghw_hierarchy(fresh)
+    assert circuit_betti_table(patched).entries == circuit_betti_table(fresh).entries
+    assert subcode_dims(patched) == subcode_dims(fresh)
 
 
 def test_circuit_table_reproduces_pinned_diagrams(toy63, code107, code149):
