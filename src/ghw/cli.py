@@ -4,6 +4,10 @@ One subcommand per analysis route; every run emits a single JSON result
 document (stable key order) to stdout or --output.  Exit codes: 0 ok,
 1 usage or parse error, 2 size cap exceeded, 3 proven-theorem violation
 (which would mean a bug, not mathematics).
+
+Each command imports the modules of its route when it runs, so a call
+pays start-up only for what it uses: ``ghw --route oracle`` never loads
+the Groebner, resolution or analysis modules.
 """
 
 from __future__ import annotations
@@ -13,18 +17,7 @@ import sys
 import time
 
 from . import __version__
-from .analysis import (
-    all_priority_orders,
-    counterexample_search,
-    ghw_via_resolution,
-    sample_orders,
-    union_testsets,
-    verify_code,
-)
-from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
 from .errors import SIZE_CAP, CapExceeded, GhwError, TheoremViolation
-from .gf2 import word_from_string, word_to_string
-from .groebner import TermOrder, decode, reduced_groebner_basis, test_set
 from .io import (
     betti_triples,
     build_document,
@@ -32,8 +25,9 @@ from .io import (
     load_matrix,
     render_betti_diagram,
 )
-from .resolution import (betti_table_hochster, hochster_min_shifts, ideal_from_supports,
-                         min_shift_sequence)
+
+# Code and TermOrder appear at module level only in annotations, which are
+# never evaluated; the commands import what they call.
 
 
 # Longest code for --all-orders.  The union builds one basis per class of
@@ -61,6 +55,8 @@ def _int_at_least(low: int):
 
 
 def _term_order(args, n: int) -> TermOrder:
+    from .groebner import TermOrder
+
     if args.vars is None:
         return TermOrder.default(n, args.order)
     try:
@@ -73,6 +69,8 @@ def _term_order(args, n: int) -> TermOrder:
 
 
 def _parse_order_spec(spec: str, n: int) -> TermOrder:
+    from .groebner import TermOrder
+
     kind, _, vars_part = spec.partition(":")
     if kind not in ("deglex", "degrevlex"):
         raise GhwError(f"bad order spec {spec!r}: kind must be deglex or degrevlex")
@@ -102,6 +100,8 @@ def _code_info(code: Code) -> dict:
 
 
 def _load_code(path: str) -> Code:
+    from .codes import Code
+
     code = Code.from_generator(load_matrix(path))
     if not code.nondegenerate:
         print(f"ghw: warning: code is degenerate (some coordinate is zero "
@@ -114,14 +114,20 @@ def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "route": args.route}
     if args.route in ("oracle", "resolution"):
-        seq = (ghw_hierarchy(code) if args.route == "oracle"
-               else ghw_via_resolution(code))
+        if args.route == "oracle":
+            from .codes import ghw_hierarchy as hierarchy
+        else:
+            from .analysis import ghw_via_resolution as hierarchy
+        seq = hierarchy(code)
         result = {
             "route": args.route,
             "ghw": list(seq.values),
             "display": " ".join(str(d) for d in seq.values),
         }
     else:
+        from .groebner import reduced_groebner_basis, test_set
+        from .resolution import hochster_min_shifts, ideal_from_supports
+
         order = _term_order(args, code.n)
         params["order"] = _order_params(order)
         basis, _ = reduced_groebner_basis(code, order)
@@ -152,6 +158,10 @@ def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
 
 
 def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
+    from .codes import circuit_betti_table, minimal_support_codewords
+    from .gf2 import word_to_string
+    from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence
+
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "ideal": args.ideal}
     result: dict = {"ideal": args.ideal}
@@ -159,6 +169,8 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         gens = minimal_support_codewords(code)
         ideal = ideal_from_supports(code.n, gens)
     elif args.ideal == "testset":
+        from .groebner import reduced_groebner_basis, test_set
+
         order = _term_order(args, code.n)
         params["order"] = _order_params(order)
         basis, _ = reduced_groebner_basis(code, order)
@@ -166,6 +178,8 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         ideal = ideal_from_supports(code.n, words)
         result["testset_size"] = len(words)
     else:
+        from .analysis import all_priority_orders, sample_orders, union_testsets
+
         if args.use_order:
             orders = [_parse_order_spec(s, code.n) for s in args.use_order]
             params["orders"] = [_order_params(o) for o in orders]
@@ -198,6 +212,9 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
 
 
 def _cmd_gb(args) -> tuple[dict, dict | None, dict]:
+    from .gf2 import word_to_string
+    from .groebner import reduced_groebner_basis, test_set
+
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order)}
@@ -219,6 +236,9 @@ def _cmd_gb(args) -> tuple[dict, dict | None, dict]:
 
 
 def _cmd_decode(args) -> tuple[dict, dict | None, dict]:
+    from .gf2 import word_from_string, word_to_string
+    from .groebner import decode, reduced_groebner_basis
+
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
@@ -241,6 +261,8 @@ def _cmd_decode(args) -> tuple[dict, dict | None, dict]:
 
 
 def _cmd_verify(args) -> tuple[dict, dict | None, dict]:
+    from .analysis import verify_code
+
     code = _load_code(args.matrix)
     order = _term_order(args, code.n)
     params = {"matrix": args.matrix, "order": _order_params(order),
@@ -250,6 +272,8 @@ def _cmd_verify(args) -> tuple[dict, dict | None, dict]:
 
 
 def _cmd_search(args) -> tuple[dict, dict | None, dict]:
+    from .analysis import counterexample_search
+
     if args.n > SIZE_CAP:
         raise CapExceeded(f"--n {args.n} exceeds cap {SIZE_CAP}")
     if args.k > args.n:

@@ -23,7 +23,9 @@ from functools import cached_property
 from .errors import SIZE_CAP, LengthCapExceeded, TheoremViolation, ZeroCode
 from .gf2 import (_BLOCK_BITS, BinaryMatrix, _indicator_blocks, _ones, _subset_transform,
                   inclusion_minimal, kernel_basis, rref)
-from .resolution import BettiTable
+
+# resolution.BettiTable is imported where a table is built, so that loading
+# codes (every CLI command does) does not load the Betti-table machinery.
 
 
 @dataclass(frozen=True)
@@ -181,6 +183,8 @@ def circuit_betti_table(c: Code) -> BettiTable:
     indicator gives m for every W at once.  The table is the same over
     every field.  It reads the code's subcode table.
     """
+    from .resolution import BettiTable
+
     bits, dim_blocks = c._dims
     size = 1 << bits
     fields = bytearray(4 * size)

@@ -167,16 +167,30 @@ def kernel_basis(m: BinaryMatrix) -> BinaryMatrix:
 _BLOCK_BITS = 12
 
 
-@cache  # one big-int division per shape, not one per transform
+@cache  # built once per shape, not once per transform
 def _ones(bits: int, width: int, j: int | None = None) -> int:
     """Packed block with a 1 in every field of width bits, or only in the
-    fields whose index has bit j clear."""
+    fields whose index has bit j clear.
+
+    Shift-OR doubling: after the step for index bit t, the block holds a 1
+    in every field whose index uses only the bits stepped so far; skipping
+    t = j leaves the fields with bit j set empty.  Linear in the block size.
+    """
+    x = 1
+    for t in range(bits):
+        if t != j:
+            x |= x << (width << t)
+    return x
+
+
+@cache
+def _pair_patterns(bits: int, width: int) -> tuple[tuple[int, int, int], ...]:
+    """(shift, keep, ones) for each coordinate j < bits: the field offset
+    of j, a full field in every field whose index has bit j clear, and a 1
+    in each of those fields."""
     field = (1 << width) - 1
-    every = ((1 << (width << bits)) - 1) // field
-    if j is None:
-        return every
-    run = ((1 << (width << j)) - 1) // field  # 2^j fields, then 2^j empty
-    return run * (((1 << (width << bits)) - 1) // ((1 << (width << (j + 1))) - 1))
+    return tuple((width << j, _ones(bits, width, j) * field, _ones(bits, width, j))
+                 for j in range(bits))
 
 
 def _indicator_blocks(masks, n: int, bits: int) -> list[int]:
@@ -202,11 +216,7 @@ def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
     fit its field.  Coordinates below bits pair the fields of one block,
     the higher ones pair whole blocks.
     """
-    field = (1 << width) - 1
-    low = []
-    for j in range(bits):
-        ones = _ones(bits, width, j)
-        low.append((width << j, ones * field, ones))
+    low = _pair_patterns(bits, width)
     for i, x in enumerate(blocks):
         for shift, keep, ones in low:
             lo = x & keep

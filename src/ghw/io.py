@@ -12,7 +12,9 @@ import json
 
 from .errors import MatrixParseError
 from .gf2 import BinaryMatrix, word_from_string
-from .resolution import BettiTable
+
+# The Betti-table helpers name resolution.BettiTable only in annotations,
+# which are never evaluated, so reading a matrix does not load resolution.
 
 SCHEMA_VERSION = 1
 

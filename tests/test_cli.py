@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -310,13 +313,14 @@ def test_cli_gb_repetition_counts(capsys):
 
 
 def test_cli_theorem_violation_exit_code(capsys, monkeypatch):
-    import ghw.cli as cli_mod
+    import ghw.analysis as analysis_mod
     from ghw import TheoremViolation
 
     def boom(*args, **kwargs):
         raise TheoremViolation("injected")
 
-    monkeypatch.setattr(cli_mod, "verify_code", boom)
+    # verify imports verify_code when it runs, so the patch goes where it is read
+    monkeypatch.setattr(analysis_mod, "verify_code", boom)
     rc, _, err = run_cli(capsys, "verify", TOY)
     assert rc == 3
     assert "consistency" in err
@@ -481,11 +485,19 @@ def test_cli_search_rejects_injected_length_mismatch(capsys):
     assert "Traceback" not in err
 
 
-def test_public_api_resolves():
+def test_public_api_resolves(monkeypatch):
     import ghw
 
+    for name in ghw.__all__:  # forget the names earlier imports resolved
+        if name in vars(ghw):
+            monkeypatch.delattr(ghw, name)
+    assert set(ghw.__all__) <= set(dir(ghw))
+    namespace: dict = {}
+    exec("from ghw import *", namespace)
     for name in ghw.__all__:
-        assert getattr(ghw, name) is not None
+        assert namespace[name] is getattr(ghw, name) is not None
+    with pytest.raises(AttributeError):
+        ghw.no_such_name
 
     # test-only code lives next to its tests; pure aliases are gone
     import ghw.analysis, ghw.codes, ghw.gf2, ghw.groebner, ghw.io, ghw.resolution
@@ -505,3 +517,35 @@ def test_public_api_resolves():
     assert not hasattr(ghw.groebner.TermOrder, "compare")
     assert not hasattr(ghw.analysis.WitnessPair, "support_i")
     assert not hasattr(ghw.analysis.WitnessPair, "support_j")
+
+
+# The ghw modules each start-up loads: a command imports only its route's.
+_LOADED_BY = """\
+import contextlib, io, json, sys
+if sys.argv[1:]:
+    import ghw.cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        if ghw.cli.main(sys.argv[1:]):
+            sys.exit("the command failed")
+else:
+    import ghw
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ghw")))
+"""
+_CLI_BASE = ["ghw", "ghw.cli", "ghw.codes", "ghw.errors", "ghw.gf2", "ghw.io"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ((), ["ghw"]),
+    (("ghw", C149, "--route", "oracle"), _CLI_BASE),
+    (("gb", C149), sorted(_CLI_BASE + ["ghw.groebner"])),
+    (("decode", TOY, "110000"), sorted(_CLI_BASE + ["ghw.groebner"])),
+])
+def test_start_up_loads_only_the_modules_of_its_command(argv, loaded):
+    import ghw
+
+    src = str(Path(ghw.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", _LOADED_BY, *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded

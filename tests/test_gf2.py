@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ghw import BinaryMatrix, kernel_basis, rref, word_from_string, word_to_string
-from ghw.gf2 import bitstring_sorted, inclusion_minimal, rank_of_words
+from ghw.gf2 import _ones, bitstring_sorted, inclusion_minimal, rank_of_words
 
 import known_codes as kc
 
@@ -192,3 +192,22 @@ def test_bitstring_sorted_is_the_order_of_rendered_words(n):
     assert bitstring_sorted(words, n) == expected
     minimal = inclusion_minimal(words, n)
     assert list(minimal) == sorted(minimal, key=lambda w: word_to_string(w, n))
+
+
+def ones_by_division(bits: int, width: int, j=None) -> int:
+    """Oracle for gf2._ones by big-int division: a 1 in every field is
+    (2^(width 2^bits) - 1) / (2^width - 1); with bit j clear, a run of 2^j
+    fields repeats every 2^(j+1) fields."""
+    field = (1 << width) - 1
+    every = ((1 << (width << bits)) - 1) // field
+    if j is None:
+        return every
+    run = ((1 << (width << j)) - 1) // field  # 2^j fields, then 2^j empty
+    return run * (((1 << (width << bits)) - 1) // ((1 << (width << (j + 1))) - 1))
+
+
+@pytest.mark.parametrize("width", [1, 8, 32])
+def test_ones_matches_the_division_formula(width):
+    for bits in range(13):
+        for j in (None, *range(bits)):
+            assert _ones(bits, width, j) == ones_by_division(bits, width, j), (bits, j)
