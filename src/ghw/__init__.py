@@ -13,7 +13,8 @@ __version__ = "0.1.0"
 # CLI command loads only the ones it uses.
 _EXPORTS = {
     "codes": ("Code", "GhwSequence", "circuit_betti_table", "ghw_bruteforce",
-              "ghw_hierarchy", "minimal_support_codewords", "subcode_dims"),
+              "ghw_hierarchy", "ghw_via_resolution", "minimal_support_codewords",
+              "subcode_dims"),
     "errors": ("CapExceeded", "DimensionTooSmall", "EmptyAmbient", "GhwError",
                "LengthCapExceeded", "MatrixParseError", "TheoremViolation",
                "TooFewGenerators", "ZeroCode"),
@@ -21,8 +22,8 @@ _EXPORTS = {
     "groebner": ("Binomial", "CosetTable", "GroebnerBasis", "TermOrder", "coset_minima",
                  "decode", "normal_form", "reduced_groebner_basis", "test_set"),
     "analysis": ("SearchReport", "VerificationReport", "WitnessPair", "all_priority_orders",
-                 "counterexample_search", "d2_from_testset", "ghw_via_resolution",
-                 "sample_orders", "second_weight_witness", "union_testsets", "verify_code"),
+                 "counterexample_search", "d2_from_testset", "sample_orders",
+                 "second_weight_witness", "union_testsets", "verify_code"),
     "resolution": ("BettiTable", "MonomialIdeal", "betti_table_hochster",
                    "hochster_min_shifts", "ideal_from_supports", "min_pair_union",
                    "min_shift_sequence", "min_shifts"),

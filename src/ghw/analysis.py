@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass, field
 from itertools import permutations
 
-from .codes import (Code, GhwSequence, circuit_betti_table, ghw_hierarchy,
-                    minimal_support_codewords)
+from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
 from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
-from .gf2 import BinaryMatrix, word_to_string
+from .gf2 import BinaryMatrix, Frozen, Value, word_to_string
 from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
 from .resolution import (
     MonomialIdeal,
@@ -30,14 +28,7 @@ from .resolution import (
 )
 
 
-def ghw_via_resolution(c: Code) -> GhwSequence:
-    """Weight hierarchy read off the Betti table of the circuit ideal:
-    d_i is the smallest shift in homological degree i."""
-    return GhwSequence(min_shifts(circuit_betti_table(c)), n=c.n, k=c.k)
-
-
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(Frozen):
     """The two order-minimal codewords whose span realizes d_2.
 
     Over GF(2) a codeword equals its support mask, so m1 and m2 are the
@@ -46,9 +37,12 @@ class WitnessPair:
     a pair with m1.
     """
 
-    m1: int
-    m2: int
-    order: TermOrder
+    _fields = ("m1", "m2", "order")
+
+    def __init__(self, m1: int, m2: int, order: TermOrder):
+        object.__setattr__(self, "m1", m1)
+        object.__setattr__(self, "m2", m2)
+        object.__setattr__(self, "order", order)
 
     @property
     def union_size(self) -> int:
@@ -120,31 +114,45 @@ def check_symmetric_difference_lemma(n: int, trials: int, seed: int = 0) -> int:
     return checked
 
 
-@dataclass
-class VerificationReport:
-    """Everything one run of verify_code establishes about a code/order."""
+class VerificationReport(Value):
+    """Everything one run of verify_code establishes about a code/order.
 
-    n: int
-    k: int
-    generator_rows: tuple[str, ...]
-    order: str
-    degenerate: bool
-    ghw: tuple[int, ...]
-    minshift_full: tuple[int, ...]
-    minshift_testset: tuple[int, ...]
-    pd_testset: int
-    testset_size: int
-    basis_size: int
-    witness_m1: str
-    witness_m2: str
-    checks: dict[str, bool]
-    agreement_by_index: tuple[bool, ...]
-    exact_through_i3: bool | None
-    full_agreement: bool
-    pd_equals_k: bool
+    The fields are the keys of its document, in document order.
+    """
+
+    _fields = ("n", "k", "generator_rows", "order", "degenerate", "ghw", "minshift_full",
+               "minshift_testset", "pd_testset", "testset_size", "basis_size", "witness_m1",
+               "witness_m2", "checks", "agreement_by_index", "exact_through_i3",
+               "full_agreement", "pd_equals_k")
+
+    def __init__(self, n: int, k: int, generator_rows: tuple[str, ...], order: str,
+                 degenerate: bool, ghw: tuple[int, ...], minshift_full: tuple[int, ...],
+                 minshift_testset: tuple[int, ...], pd_testset: int, testset_size: int,
+                 basis_size: int, witness_m1: str, witness_m2: str, checks: dict[str, bool],
+                 agreement_by_index: tuple[bool, ...], exact_through_i3: bool | None,
+                 full_agreement: bool, pd_equals_k: bool):
+        self.n = n
+        self.k = k
+        self.generator_rows = generator_rows
+        self.order = order
+        self.degenerate = degenerate
+        self.ghw = ghw
+        self.minshift_full = minshift_full
+        self.minshift_testset = minshift_testset
+        self.pd_testset = pd_testset
+        self.testset_size = testset_size
+        self.basis_size = basis_size
+        self.witness_m1 = witness_m1
+        self.witness_m2 = witness_m2
+        self.checks = checks
+        self.agreement_by_index = agreement_by_index
+        self.exact_through_i3 = exact_through_i3
+        self.full_agreement = full_agreement
+        self.pd_equals_k = pd_equals_k
 
     def as_dict(self) -> dict:
-        return asdict(self) | {"checks": dict(sorted(self.checks.items()))}
+        return (dict(zip(self._fields, self._astuple()))
+                | {"checks": dict(sorted(self.checks.items()))})
 
 
 def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
@@ -269,21 +277,26 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
         yield report
 
 
-@dataclass
-class SearchReport:
-    """Aggregated outcome of a randomized counterexample search."""
+class SearchReport(Value):
+    """Aggregated outcome of a randomized counterexample search; its
+    counters start at zero and counterexample_search updates them."""
 
-    n: int
-    k: int
-    trials: int
-    seed: int
-    orders: tuple[str, ...]
-    evaluated: int = 0
-    skipped_rank_deficient: int = 0
-    skipped_degenerate: int = 0
-    flagged: list[dict] = field(default_factory=list)
-    exactness_i3_failures: int = 0
-    flagged_always_pd_below_k: bool = True
+    _fields = ("n", "k", "trials", "seed", "orders", "evaluated", "skipped_rank_deficient",
+               "skipped_degenerate", "flagged", "exactness_i3_failures",
+               "flagged_always_pd_below_k")
+
+    def __init__(self, n: int, k: int, trials: int, seed: int, orders: tuple[str, ...]):
+        self.n = n
+        self.k = k
+        self.trials = trials
+        self.seed = seed
+        self.orders = orders
+        self.evaluated = 0
+        self.skipped_rank_deficient = 0
+        self.skipped_degenerate = 0
+        self.flagged: list[dict] = []
+        self.exactness_i3_failures = 0
+        self.flagged_always_pd_below_k = True
 
     def as_dict(self) -> dict:
         return {

@@ -114,10 +114,9 @@ def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "route": args.route}
     if args.route in ("oracle", "resolution"):
-        if args.route == "oracle":
-            from .codes import ghw_hierarchy as hierarchy
-        else:
-            from .analysis import ghw_via_resolution as hierarchy
+        from .codes import ghw_hierarchy, ghw_via_resolution
+
+        hierarchy = ghw_hierarchy if args.route == "oracle" else ghw_via_resolution
         seq = hierarchy(code)
         result = {
             "route": args.route,

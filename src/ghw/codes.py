@@ -9,7 +9,8 @@ use: dim C(W), the dimension of the subcode supported inside W, for all
 transform of the codeword indicator, O(n 2^n) field updates run on
 packed blocks of masks.  ghw_hierarchy reads d_h = min{|W| : dim C(W) >= h}
 off it; circuit_betti_table reads the Betti table of the circuit ideal
-off it with one Moebius transform more; subcode_dims is its bytes view.
+off it with one Moebius transform more, and ghw_via_resolution reads the
+hierarchy off that table; subcode_dims is its bytes view.
 Everything here lives under the global length cap enforced at
 construction.
 """
@@ -17,19 +18,17 @@ construction.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SIZE_CAP, LengthCapExceeded, TheoremViolation, ZeroCode
-from .gf2 import (_BLOCK_BITS, BinaryMatrix, _indicator_blocks, _ones, _subset_transform,
+from .gf2 import (_BLOCK_BITS, BinaryMatrix, Frozen, _indicator_blocks, _ones, _subset_transform,
                   inclusion_minimal, kernel_basis, rref)
 
-# resolution.BettiTable is imported where a table is built, so that loading
+# resolution is imported where a table is built or read, so that loading
 # codes (every CLI command does) does not load the Betti-table machinery.
 
 
-@dataclass(frozen=True)
-class Code:
+class Code(Frozen):
     """A binary [n, k] linear code.
 
     generator rows form the canonical rref basis; parity rows are the
@@ -38,11 +37,15 @@ class Code:
     whole code.
     """
 
-    n: int
-    k: int
-    generator: BinaryMatrix
-    parity: BinaryMatrix
-    nondegenerate: bool
+    _fields = ("n", "k", "generator", "parity", "nondegenerate")
+
+    def __init__(self, n: int, k: int, generator: BinaryMatrix, parity: BinaryMatrix,
+                 nondegenerate: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "nondegenerate", nondegenerate)
 
     @classmethod
     def from_generator(cls, m: BinaryMatrix) -> "Code":
@@ -214,28 +217,34 @@ def circuit_betti_table(c: Code) -> BettiTable:
     return BettiTable(entries)
 
 
-@dataclass(frozen=True)
-class GhwSequence:
+def ghw_via_resolution(c: Code) -> GhwSequence:
+    """Weight hierarchy read off the Betti table of the circuit ideal:
+    d_i is the smallest shift in homological degree i."""
+    from .resolution import min_shifts
+
+    return GhwSequence(min_shifts(circuit_betti_table(c)), n=c.n, k=c.k)
+
+
+class GhwSequence(Frozen):
     """Weight hierarchy d_1 < d_2 < ... < d_k with its ambient parameters.
 
     Construction enforces the proven shape: strictly increasing, d_1 >= 1,
     and d_h <= n - k + h (Singleton).  A violation is a bug, never data.
     """
 
-    values: tuple[int, ...]
-    n: int
-    k: int
+    _fields = ("values", "n", "k")
 
-    def __post_init__(self):
-        if len(self.values) != self.k:
-            raise TheoremViolation(
-                f"hierarchy has {len(self.values)} entries for k={self.k}")
+    def __init__(self, values: tuple[int, ...], n: int, k: int):
+        if len(values) != k:
+            raise TheoremViolation(f"hierarchy has {len(values)} entries for k={k}")
         prev = 0
-        for h, d in enumerate(self.values, start=1):
+        for h, d in enumerate(values, start=1):
             if d <= prev:
                 raise TheoremViolation(f"d_{h}={d} not above d_{h-1}={prev}")
-            if d > self.n - self.k + h:
+            if d > n - k + h:
                 raise TheoremViolation(
-                    f"d_{h}={d} breaks the Singleton bound "
-                    f"n-k+h={self.n - self.k + h}")
+                    f"d_{h}={d} breaks the Singleton bound n-k+h={n - k + h}")
             prev = d
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)

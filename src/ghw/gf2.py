@@ -13,7 +13,6 @@ picks the leftmost available pivot first, so all outputs are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 
@@ -68,20 +67,59 @@ def rank_of_words(words) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class BinaryMatrix:
+class Value:
+    """Base of the package's value classes.
+
+    A subclass names its fields in _fields and sets them in __init__.  Two
+    values of one class are equal when their fields are, and repr shows
+    the fields by name.  A Value is mutable, so it is not hashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Value):
+    """A Value whose fields are set once, by __init__ through
+    object.__setattr__, and never reassigned; hashed by its fields."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+
+class BinaryMatrix(Frozen):
     """Row-major matrix over GF(2); each row is an int word of ncols bits."""
 
-    rows: tuple[int, ...]
-    ncols: int
+    _fields = ("rows", "ncols")
 
-    def __post_init__(self):
-        if self.ncols < 0:
+    def __init__(self, rows: tuple[int, ...], ncols: int):
+        if ncols < 0:
             raise ValueError("ncols must be nonnegative")
-        mask = (1 << self.ncols) - 1
-        for r in self.rows:
+        mask = (1 << ncols) - 1
+        for r in rows:
             if r & ~mask:
                 raise ValueError("row has bits beyond ncols")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
 
     @classmethod
     def from_strings(cls, rows: list[str]) -> "BinaryMatrix":

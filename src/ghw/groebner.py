@@ -17,16 +17,14 @@ minimum-weight member of each coset, the leaders any order can pick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .codes import Code
 from .errors import TheoremViolation
-from .gf2 import BinaryMatrix, bitstring_sorted, word_to_string
+from .gf2 import BinaryMatrix, Frozen, bitstring_sorted, word_to_string
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class TermOrder(Frozen):
     """A degree-compatible monomial order on square-free exponent masks.
 
     kind is "deglex" or "degrevlex"; priority lists the 0-based variable
@@ -38,14 +36,15 @@ class TermOrder:
       where the words differ makes the word containing it smaller.
     """
 
-    kind: str
-    priority: tuple[int, ...]
+    _fields = ("kind", "priority")
 
-    def __post_init__(self):
-        if self.kind not in ("deglex", "degrevlex"):
-            raise ValueError(f"unknown order kind {self.kind!r}")
-        if sorted(self.priority) != list(range(len(self.priority))):
+    def __init__(self, kind: str, priority: tuple[int, ...]):
+        if kind not in ("deglex", "degrevlex"):
+            raise ValueError(f"unknown order kind {kind!r}")
+        if sorted(priority) != list(range(len(priority))):
             raise ValueError("priority must be a permutation of 0..n-1")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "priority", priority)
 
     @classmethod
     def default(cls, n: int, kind: str = "degrevlex") -> "TermOrder":
@@ -86,12 +85,14 @@ class TermOrder:
         return f"{self.kind} vars={vars_1based}"
 
 
-@dataclass(frozen=True)
-class Binomial:
+class Binomial(Frozen):
     """X^lead - X^trail with lead > trail under the producing order."""
 
-    lead: int
-    trail: int
+    _fields = ("lead", "trail")
+
+    def __init__(self, lead: int, trail: int):
+        object.__setattr__(self, "lead", lead)
+        object.__setattr__(self, "trail", trail)
 
     @property
     def word(self) -> int:
@@ -106,8 +107,7 @@ class Binomial:
         return self.lead & self.trail == 0
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(Frozen):
     """Square-free part of a reduced Groebner basis of a code ideal.
 
     binomials are listed with leads in increasing order.  The quadrics
@@ -118,10 +118,14 @@ class GroebnerBasis:
     empty and verified rather than normalized away.
     """
 
-    order: TermOrder
-    n: int
-    binomials: tuple[Binomial, ...]
-    standard_form_violations: tuple[Binomial, ...] = field(default=())
+    _fields = ("order", "n", "binomials", "standard_form_violations")
+
+    def __init__(self, order: TermOrder, n: int, binomials: tuple[Binomial, ...],
+                 standard_form_violations: tuple[Binomial, ...] = ()):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "binomials", binomials)
+        object.__setattr__(self, "standard_form_violations", standard_form_violations)
 
     def degree_one_leads(self) -> tuple[int, ...]:
         return tuple(b.lead for b in self.binomials if b.lead.bit_count() == 1)
@@ -134,8 +138,7 @@ class GroebnerBasis:
         return len(self.binomials) + self.quadric_count()
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Frozen):
     """Syndrome -> canonical coset leader, one entry per coset.
 
     Leaders are the order-minimal (hence minimum-weight) coset elements;
@@ -144,8 +147,11 @@ class CosetTable:
     presentation.
     """
 
-    parity: BinaryMatrix
-    leaders: dict[int, int]
+    _fields = ("parity", "leaders")
+
+    def __init__(self, parity: BinaryMatrix, leaders: dict[int, int]):
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "leaders", leaders)
 
     def syndrome(self, word: int) -> int:
         return self.parity.mul_word(word)

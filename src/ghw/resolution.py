@@ -31,12 +31,12 @@ homology there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .errors import (SIZE_CAP, CapExceeded, EmptyAmbient, LengthCapExceeded, TheoremViolation,
                      TooFewGenerators)
-from .gf2 import _BLOCK_BITS, _ones, _subset_transform, inclusion_minimal, rank_of_words
+from .gf2 import (_BLOCK_BITS, Frozen, Value, _ones, _subset_transform, inclusion_minimal,
+                  rank_of_words)
 
 # A size bound: a sweep whose lcm lattice has a sum of 2^(|W|-1) past this
 # is refused up front, before any homology.  The sum counts no operation of
@@ -45,24 +45,26 @@ from .gf2 import _BLOCK_BITS, _ones, _subset_transform, inclusion_minimal, rank_
 MASK_BUDGET = 1 << 26
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """Square-free monomial ideal given by its minimal generator supports."""
 
-    n: int
-    gens: tuple[int, ...]
+    _fields = ("n", "gens")
+
+    def __init__(self, n: int, gens: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "gens", gens)
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Value):
     """Sparse graded Betti numbers: entries[(i, j)] = beta_{i,j} > 0."""
 
-    entries: dict[tuple[int, int], int]
+    _fields = ("entries",)
 
-    def __post_init__(self):
-        for (i, j), beta in self.entries.items():
+    def __init__(self, entries: dict[tuple[int, int], int]):
+        for (i, j), beta in entries.items():
             if beta <= 0:
                 raise ValueError(f"nonpositive count at ({i}, {j})")
+        self.entries = entries
 
     @property
     def pd(self) -> int:

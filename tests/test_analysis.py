@@ -19,7 +19,6 @@ from ghw import (
     d2_from_testset,
     ghw_bruteforce,
     ghw_hierarchy,
-    ghw_via_resolution,
     ideal_from_supports,
     min_pair_union,
     minimal_support_codewords,
@@ -32,6 +31,7 @@ from ghw import (
     word_to_string,
 )
 from ghw.analysis import check_symmetric_difference_lemma, symmetric_difference_triple
+from ghw.codes import ghw_via_resolution
 from ghw.groebner import test_set as extract_testset
 from ghw.resolution import BettiTable
 

@@ -290,13 +290,24 @@ def test_cli_verify_document_key_order(capsys):
     assert checks == sorted(checks)
 
 
+SEARCH_KEYS = [
+    "n", "k", "trials", "seed", "orders", "evaluated", "skipped_rank_deficient",
+    "skipped_degenerate", "flagged_count", "flagged", "exactness_i3_failures",
+    "flagged_always_pd_below_k",
+]
+
+
 def test_cli_search_empty_and_injected(capsys):
     doc = run_json(capsys, "search", "--n", "6", "--k", "3", "--trials", "0",
                    "--seed", "1")
     assert doc["result"]["flagged"] == []
+    assert list(doc["result"]) == SEARCH_KEYS
     doc = run_json(capsys, "search", "--n", "10", "--k", "7", "--trials", "0",
                    "--seed", "1", "--inject", C107)
     assert doc["result"]["flagged_count"] == 1
+    assert list(doc["result"]["flagged"][0]) == [
+        "trial", "matrix", "order", "ghw", "minshift_testset", "pd_testset", "k",
+        "exact_through_i3"]
     assert doc["result"]["flagged"][0]["pd_testset"] < doc["result"]["flagged"][0]["k"]
 
 
@@ -519,7 +530,8 @@ def test_public_api_resolves(monkeypatch):
     assert not hasattr(ghw.analysis.WitnessPair, "support_j")
 
 
-# The ghw modules each start-up loads: a command imports only its route's.
+# The ghw modules each start-up loads (a command imports only its route's),
+# and whether dataclasses was imported on the way.
 _LOADED_BY = """\
 import contextlib, io, json, sys
 if sys.argv[1:]:
@@ -529,7 +541,8 @@ if sys.argv[1:]:
             sys.exit("the command failed")
 else:
     import ghw
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "ghw")))
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "ghw"),
+                  "dataclasses" in sys.modules]))
 """
 _CLI_BASE = ["ghw", "ghw.cli", "ghw.codes", "ghw.errors", "ghw.gf2", "ghw.io"]
 
@@ -539,6 +552,8 @@ _CLI_BASE = ["ghw", "ghw.cli", "ghw.codes", "ghw.errors", "ghw.gf2", "ghw.io"]
     (("ghw", C149, "--route", "oracle"), _CLI_BASE),
     (("gb", C149), sorted(_CLI_BASE + ["ghw.groebner"])),
     (("decode", TOY, "110000"), sorted(_CLI_BASE + ["ghw.groebner"])),
+    (("ghw", C149, "--route", "resolution"), sorted(_CLI_BASE + ["ghw.resolution"])),
+    (("verify", TOY), sorted(_CLI_BASE + ["ghw.analysis", "ghw.groebner", "ghw.resolution"])),
 ])
 def test_start_up_loads_only_the_modules_of_its_command(argv, loaded):
     import ghw
@@ -548,4 +563,4 @@ def test_start_up_loads_only_the_modules_of_its_command(argv, loaded):
                           capture_output=True, text=True, timeout=60,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == loaded
+    assert json.loads(proc.stdout) == [loaded, False]

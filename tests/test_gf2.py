@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from ghw import BinaryMatrix, kernel_basis, rref, word_from_string, word_to_string
+from ghw import (BinaryMatrix, Binomial, Code, CosetTable, GhwSequence, TermOrder,
+                 ideal_from_supports, kernel_basis, reduced_groebner_basis, rref,
+                 second_weight_witness, word_from_string, word_to_string)
 from ghw.gf2 import _ones, bitstring_sorted, inclusion_minimal, rank_of_words
 
 import known_codes as kc
@@ -211,3 +213,44 @@ def test_ones_matches_the_division_formula(width):
     for bits in range(13):
         for j in (None, *range(bits)):
             assert _ones(bits, width, j) == ones_by_division(bits, width, j), (bits, j)
+
+
+def _toy63():
+    return Code.from_generator(BinaryMatrix.from_strings(kc.TOY63_ROWS))
+
+
+# Each public frozen class: a builder that makes a fresh instance from fresh
+# but equal fields, and one of its fields.
+_FROZEN = {
+    "BinaryMatrix": (lambda: BinaryMatrix((0b011, 0b110), 3), "rows"),
+    "Code": (_toy63, "generator"),
+    "GhwSequence": (lambda: GhwSequence((2, 4, 6), n=6, k=3), "values"),
+    "TermOrder": (lambda: TermOrder("deglex", (2, 0, 1)), "priority"),
+    "Binomial": (lambda: Binomial(0b011, 0b100), "lead"),
+    "GroebnerBasis": (lambda: reduced_groebner_basis(_toy63(), TermOrder.default(6))[0],
+                      "binomials"),
+    "CosetTable": (lambda: reduced_groebner_basis(_toy63(), TermOrder.default(6))[1],
+                   "leaders"),
+    "MonomialIdeal": (lambda: ideal_from_supports(6, [0b000011, 0b001100]), "gens"),
+    "WitnessPair": (lambda: second_weight_witness(_toy63(), TermOrder.default(6)), "m1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN))
+def test_frozen_values_refuse_assignment_and_compare_by_fields(name):
+    build, field = _FROZEN[name]
+    a, b = build(), build()
+    assert a is not b and a == b and not a != b
+    assert a != object()
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    with pytest.raises(AttributeError):
+        a.not_a_field = 1
+    assert getattr(a, field) == getattr(b, field)
+    if isinstance(a, CosetTable):  # its leaders are a dict, and like a dict it is unhashable
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b}) == 1
