@@ -21,8 +21,8 @@ import struct
 from functools import cached_property
 
 from .errors import SIZE_CAP, LengthCapExceeded, TheoremViolation, ZeroCode
-from .gf2 import (_BLOCK_BITS, BinaryMatrix, Frozen, _indicator_blocks, _ones, _subset_transform,
-                  inclusion_minimal, kernel_basis, rref)
+from .gf2 import (_BLOCK_BITS, BinaryMatrix, Frozen, _indicator_blocks, _levels, _ones,
+                  _subset_transform, inclusion_minimal, kernel_basis, rref)
 
 # resolution is imported where a table is built or read, so that loading
 # codes (every CLI command does) does not load the Betti-table machinery.
@@ -147,19 +147,31 @@ def _difference(lo: int, hi: int, ones: int) -> int:
 
 
 def _largest_by_size(blocks, bits: int, n: int) -> list[int]:
-    """best[s] = the largest field over the masks of size s, for packed
-    byte blocks whose fields are all below 128."""
-    high = 0x80 * _ones(bits, 8)
+    """best[s] = the largest dim C(W) over the masks W of size s, for the
+    packed byte blocks of a subcode table (every field below 128).
+
+    best never falls and rises by at most 1 per size, since
+    dim C(W + j) <= dim C(W) + 1, so each size only asks whether some field
+    of that size is above the best so far: one packed compare per block of
+    fieldwise maxima, repeated while the answer is yes.
+    """
+    ones = _ones(bits, 8)
+    high = 0x80 * ones
     top = [0] * (n - bits + 1)  # fieldwise max over the blocks i of each |i|
     for i, x in enumerate(blocks):
         y = top[i.bit_count()]
         keep = ((((y | high) - x) & high) >> 7) * 0xFF  # 0xFF where y >= x
         top[i.bit_count()] = (y & keep) | (x & ~keep)
+    top = [y | high for y in top]  # field + 128: a compare borrows no bit from its neighbour
+    levels = [level << 7 for level in _levels(bits, 8)]  # the high bit of each field of size s
     best = [0] * (n + 1)
-    for p, y in enumerate(top):
-        for t, field in enumerate(y.to_bytes(1 << bits, "little")):
-            s = p + t.bit_count()
-            best[s] = max(best[s], field)
+    h = 0
+    for s in range(n + 1):
+        # bit 7 of field + 128 - (h + 1) is set iff the field is above h
+        while any((y - (h + 1) * ones) & levels[s - p]
+                  for p, y in enumerate(top) if 0 <= s - p <= bits):
+            h += 1
+        best[s] = h
     return best
 
 

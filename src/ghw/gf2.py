@@ -222,6 +222,18 @@ def _ones(bits: int, width: int, j: int | None = None) -> int:
 
 
 @cache
+def _levels(bits: int, width: int = 1) -> tuple[int, ...]:
+    """levels[s] is the packed block with a 1 in the field of each of the
+    2^bits masks x of one block with |x| = s, fields of width bits."""
+    if bits == 0:
+        return (1,)
+    half = _levels(bits - 1, width)
+    shift = width << (bits - 1)
+    return tuple((half[s] if s < bits else 0) | (half[s - 1] << shift if s else 0)
+                 for s in range(bits + 1))
+
+
+@cache
 def _pair_patterns(bits: int, width: int) -> tuple[tuple[int, int, int], ...]:
     """(shift, keep, ones) for each coordinate j < bits: the field offset
     of j, a full field in every field whose index has bit j clear, and a 1

@@ -6,16 +6,30 @@ d, lands at (i, j) = (|W| - d - 1, |W|).  Only W in the lcm lattice (the
 unions of generator supports) can contribute: any other W has a vertex in
 no generator inside W, so its restriction is a cone.
 
-Each restriction is reduced by one of its vertices v: it is del_v union
-the contractible cone v * lk_v, so its reduced homology is H(del_v, lk_v)
-by excision (the acyclic matching F <-> F | v of discrete Morse theory).
-Any vertex works; the sweep takes the one that leaves the fewest cells,
-the faces F inside W - v with F | v a nonface, since the boundary ranks
-over GF(2) cost most and shrink with them.  Every W gets its own nonface
-table, 2^|W| one-bit fields in W's coordinates built from the generators
-inside W by one packed OR transform; the cells of every v are a few
-bitwise operations on it.  The sum of 2^(|W|-1) over the lattice is
-checked against MASK_BUDGET while the lattice grows.
+Every W gets its own nonface table, 2^|W| one-bit fields in W's
+coordinates built from the generators inside W by one packed OR
+transform.  Its homology comes from discrete Morse theory first, and
+from boundary ranks only where that cannot decide:
+
+* Certificate.  Starting from the faces of W, the element matching
+  F <-> F | u pairs the cells without u with those with u, for each
+  vertex u of W in ascending order, each step a few bitwise operations
+  per block of the table.  A sequence of element matchings is acyclic
+  (Jonsson, Simplicial Complexes of Graphs, 2008, Sec. 4), so the
+  homology is that of a complex on the c_s critical cells of each size s
+  (Forman 1998): c_s = 0 gives h_s = 0, and c_{s-1} = c_{s+1} = 0 gives
+  h_s = c_s.  The counts are popcounts, and no cell is listed.
+* Fallback.  A level the counts leave open comes from one vertex v: the
+  restriction is del_v union the contractible cone v * lk_v, so its
+  reduced homology is H(del_v, lk_v) by excision, the first matching
+  alone.  Any vertex works; the kernel takes the one that leaves the
+  fewest cells, the faces F inside W - v with F | v a nonface, lists
+  them and computes the boundary ranks over GF(2).
+* Audit.  Under audit every W gets its ranks, and TheoremViolation is
+  raised unless each level the certificate decided agrees with them.
+
+The sum of 2^(|W|-1) over the lattice is checked against MASK_BUDGET
+while the lattice grows.
 
 The minimal shifts m_i (the smallest j with beta_{i,j} != 0) need far
 less than the whole table.  In a minimal free resolution the
@@ -31,17 +45,16 @@ homology there.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .errors import (SIZE_CAP, CapExceeded, EmptyAmbient, LengthCapExceeded, TheoremViolation,
                      TooFewGenerators)
-from .gf2 import (_BLOCK_BITS, Frozen, Value, _ones, _subset_transform, inclusion_minimal,
-                  rank_of_words)
+from .gf2 import (_BLOCK_BITS, Frozen, Value, _levels, _ones, _subset_transform,
+                  inclusion_minimal, rank_of_words)
 
 # A size bound: a sweep whose lcm lattice has a sum of 2^(|W|-1) past this
 # is refused up front, before any homology.  The sum counts no operation of
-# the kernel (a W costs a 2^|W|-bit table and the ranks of its cells); it
-# stays fixed so that the refused inputs, and their messages, stay fixed.
+# the kernel (a W costs a 2^|W|-bit table, its critical-cell counts and,
+# where they cannot decide, the ranks of its cells); it stays fixed so that
+# the refused inputs, and their messages, stay fixed.
 MASK_BUDGET = 1 << 26
 
 
@@ -145,18 +158,6 @@ def _lcm_lattice(gens) -> set[int]:
     return lcms
 
 
-@cache
-def _levels(bits: int) -> tuple[int, ...]:
-    """levels[s] is the packed one-bit block with bit x set, for the 2^bits
-    masks x of one block, iff |x| = s."""
-    if bits == 0:
-        return (1,)
-    half = _levels(bits - 1)
-    shift = 1 << (bits - 1)
-    return tuple((half[s] if s < bits else 0) | (half[s - 1] << shift if s else 0)
-                 for s in range(bits + 1))
-
-
 def _cells(table: list[int], bits: int, v: int) -> list[tuple[int, int]]:
     """(i, c) for each block i of a local nonface table without vertex v:
     bit x of c is set iff the local mask i * 2^bits + x is a face and adding
@@ -190,25 +191,103 @@ def _fewest_cells(table: list[int], bits: int, k: int) -> int:
     return held.index(min(held))
 
 
+def _critical(table: list[int], bits: int, order) -> list[int]:
+    """The critical cells of a sequence of element matchings on a local
+    nonface table, as packed one-bit blocks like the table's.
+
+    The cells start as the faces.  For each vertex u in order, a face F
+    without u is paired with F | u, and both leave the cells, wherever
+    both are still cells; inside a block that is a shift by u's field
+    offset, across blocks it pairs block i with block i | u's bit.  The
+    first step is the excision of u.
+    """
+    every = _ones(bits, 1)
+    cells = [~x & every for x in table]
+    for u in order:
+        if u < bits:
+            shift = 1 << u
+            keep = _ones(bits, 1, u)
+            for i, c in enumerate(cells):
+                pairs = c & (c >> shift) & keep
+                cells[i] = c ^ (pairs | pairs << shift)
+        else:
+            bit = 1 << (u - bits)
+            for i in range(len(cells)):
+                if not i & bit:
+                    pairs = cells[i] & cells[i | bit]
+                    cells[i] ^= pairs
+                    cells[i | bit] ^= pairs
+    return cells
+
+
+def _certified(table: list[int], bits: int, k: int, lo: int, hi: int) -> list[int | None]:
+    """h[s - lo] for s = lo..hi where the critical cells of the element
+    matchings of every vertex, in ascending order, decide it, and None
+    where they do not.
+
+    The matchings form one acyclic matching, so the homology is that of a
+    complex with c_s cells at each size s: h_s = 0 when c_s = 0, and
+    h_s = c_s when c_{s-1} = c_{s+1} = 0, since no boundary then enters or
+    leaves size s.  Only the counts of sizes lo - 1 .. hi + 1 are taken.
+    """
+    cells = _critical(table, bits, range(k))
+    levels = _levels(bits)
+    counts = [0] * (hi - lo + 3)  # c_s for s = lo - 1 .. hi + 1
+    for i, c in enumerate(cells):
+        if c:
+            off = i.bit_count()  # the size a block's masks take from its index
+            for s in range(max(lo - 1, off), min(hi + 1, off + bits) + 1):
+                counts[s - lo + 1] += (c & levels[s - off]).bit_count()
+    return [None if c and (below or above) else c
+            for below, c, above in zip(counts, counts[1:], counts[2:])]
+
+
 def _relative_homology(w: int, gens, audit: bool,
                        lo: int = 0, hi: int | None = None) -> list[int]:
     """h[s - lo] for s = lo..hi (every level when hi is None): the
     dimension of the reduced homology of the complex of the generators
-    restricted to the nonempty vertex mask w, in degree s - 1, from the
-    cells of H(del_v, lk_v) for the vertex v that leaves the fewest; the
-    boundary drops the facets that lie in lk_v.
+    restricted to the nonempty vertex mask w, in degree s - 1.
+
+    The critical cells of the element matchings (_certified) decide most
+    levels; the rest come from the boundary ranks of _ranked.  audit
+    computes every level from the ranks, and raises TheoremViolation
+    unless each level the cells decided agrees.
+    """
+    k = w.bit_count()
+    bits = min(_BLOCK_BITS, k)
+    table = _own_table(w, gens)
+    if hi is None:
+        hi = k - 1
+    hs = _certified(table, bits, k, lo, hi)
+    if audit:
+        ranked = _ranked(w, table, bits, k, 0, k - 1, True)[lo:hi + 1]
+        for s, (h, r) in enumerate(zip(hs, ranked), lo):
+            if h is not None and h != r:
+                raise TheoremViolation(
+                    f"Morse certificate on {bin(w)} gives {h} at cell size {s}, "
+                    f"the boundary ranks {r}")
+        return ranked
+    undecided = [s for s, h in enumerate(hs, lo) if h is None]
+    if undecided:
+        first = undecided[0]
+        ranked = _ranked(w, table, bits, k, first, undecided[-1], False)
+        for s in undecided:
+            hs[s - lo] = ranked[s - first]
+    return hs
+
+
+def _ranked(w: int, table: list[int], bits: int, k: int, lo: int, hi: int,
+            audit: bool) -> list[int]:
+    """h[s - lo] for s = lo..hi, from the cells of H(del_v, lk_v) for the
+    vertex v that leaves the fewest; the boundary drops the facets that
+    lie in lk_v.
 
     Only the cells of sizes lo - 1 .. hi + 1 are listed, the ones the two
     boundary ranks around each level of the window need.  audit checks
     the whole complex, so it needs the whole window.
     """
-    k = w.bit_count()
-    bits = min(_BLOCK_BITS, k)
-    table = _own_table(w, gens)
     v = _fewest_cells(table, bits, k)
     top = k - 1
-    if hi is None:
-        hi = top
     below = lo - 1
     above = hi + 1
     levels = _levels(bits)
@@ -287,9 +366,10 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
     The sum runs over the lcm lattice of the generators, the empty set
     included (it gives beta_{0,0} = 1 unless the ideal is the whole
     ring).  A lattice whose sum of 2^(|W|-1) passes MASK_BUDGET
-    raises CapExceeded before any homology is computed.  audit re-checks
-    the ranks and the Euler characteristics of every set touched, and
-    that the minimal shifts rise through the degrees 1..pd with no gap.
+    raises CapExceeded before any homology is computed.  audit takes the
+    ranks of every set touched and re-checks them, the Euler
+    characteristics and the Morse certificate, and that the minimal
+    shifts rise through the degrees 1..pd with no gap.
     """
     lcms = _lcm_lattice(ideal.gens)
     table: dict[tuple[int, int], int] = {}
@@ -330,13 +410,31 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
     for w in _lcm_lattice(ideal.gens):
         if w:
             by_size.setdefault(w.bit_count(), []).append(w)
+    # holders[v] has bit i set iff generator i holds vertex v: the
+    # generators inside W are those that no vertex outside W holds.
+    holders = [0] * ideal.n
+    for i, g in enumerate(ideal.gens):
+        for v in range(ideal.n):
+            if g >> v & 1:
+                holders[v] |= 1 << i
+    every = (1 << ideal.n) - 1
+
+    def inside(w: int) -> int:
+        out = 0
+        m = every ^ w
+        while m:
+            low = m & -m
+            out |= holders[low.bit_length() - 1]
+            m ^= low
+        return len(ideal.gens) - out.bit_count()
+
     shifts: list[int] = []
     for j in sorted(by_size):
         t = len(shifts)
         # beta_{t+1,W} is at most the number of (t+1)-sets of generators
         # inside W (Taylor): the sets holding the most generators go first,
         # and none holding t or fewer can add degree t + 1.
-        held = {w: sum(g & w == g for g in ideal.gens) for w in by_size[j]}
+        held = {w: inside(w) for w in by_size[j]}
         for w in sorted(by_size[j], key=lambda w: -held[w]):
             if held[w] <= t:
                 break

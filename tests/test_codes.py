@@ -22,8 +22,8 @@ from ghw import (
     word_from_string,
     word_to_string,
 )
-from ghw.codes import GhwSequence
-from ghw.gf2 import rank_of_words
+from ghw.codes import GhwSequence, _largest_by_size
+from ghw.gf2 import _ones, rank_of_words
 
 import known_codes as kc
 from conftest import make_code
@@ -343,6 +343,44 @@ def test_cached_table_keeps_its_own_block_size():
     assert ghw_hierarchy(patched) == ghw_hierarchy(fresh)
     assert circuit_betti_table(patched).entries == circuit_betti_table(fresh).entries
     assert subcode_dims(patched) == subcode_dims(fresh)
+
+
+def largest_by_size_loop(blocks, bits: int, n: int) -> list[int]:
+    """The per-field loop that the threshold scan of _largest_by_size
+    replaced: the fieldwise maxima of the blocks of each |i|, then every
+    field of them in turn."""
+    high = 0x80 * _ones(bits, 8)
+    top = [0] * (n - bits + 1)
+    for i, x in enumerate(blocks):
+        y = top[i.bit_count()]
+        keep = ((((y | high) - x) & high) >> 7) * 0xFF  # 0xFF where y >= x
+        top[i.bit_count()] = (y & keep) | (x & ~keep)
+    best = [0] * (n + 1)
+    for p, y in enumerate(top):
+        for t, field in enumerate(y.to_bytes(1 << bits, "little")):
+            s = p + t.bit_count()
+            best[s] = max(best[s], field)
+    return best
+
+
+def test_largest_by_size_matches_the_per_field_loop():
+    """Seeded codes with n > 12 (several blocks of fieldwise maxima, so a
+    size spans blocks), some with dead columns, k from 1 to n."""
+    rng = random.Random(16)
+    codes = []
+    for n in range(13, 17):
+        for k in (1, 2, n // 2, n - 1, n):
+            code = random_code(rng, n, k)
+            dead = rng.getrandbits(n) & rng.getrandbits(n)  # about a quarter of the columns
+            rows = tuple(r & ~dead for r in code.generator.rows)
+            codes.append(code)
+            if any(rows):
+                codes.append(Code.from_generator(BinaryMatrix(rows, n)))
+    assert sum(not c.nondegenerate for c in codes) >= 10
+    for code in codes:
+        bits, blocks = code._dims
+        assert len(blocks) > 1
+        assert _largest_by_size(blocks, bits, code.n) == largest_by_size_loop(blocks, bits, code.n)
 
 
 def test_circuit_table_reproduces_pinned_diagrams(toy63, code107, code149):

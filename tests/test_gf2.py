@@ -1,11 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
+import ghw
 from ghw import (BinaryMatrix, Binomial, Code, CosetTable, GhwSequence, TermOrder,
                  ideal_from_supports, kernel_basis, reduced_groebner_basis, rref,
                  second_weight_witness, word_from_string, word_to_string)
-from ghw.gf2 import _ones, bitstring_sorted, inclusion_minimal, rank_of_words
+from ghw.gf2 import (Frozen, Value, _levels, _ones, bitstring_sorted, inclusion_minimal,
+                     rank_of_words)
 
 import known_codes as kc
 
@@ -215,6 +218,16 @@ def test_ones_matches_the_division_formula(width):
             assert _ones(bits, width, j) == ones_by_division(bits, width, j), (bits, j)
 
 
+@pytest.mark.parametrize("width", [1, 8])
+def test_levels_mark_the_fields_of_each_size(width):
+    for bits in range(9):
+        levels = _levels(bits, width)
+        assert len(levels) == bits + 1
+        for s, level in enumerate(levels):
+            assert level == sum(1 << (width * x) for x in range(1 << bits)
+                                if x.bit_count() == s), (bits, s)
+
+
 def _toy63():
     return Code.from_generator(BinaryMatrix.from_strings(kc.TOY63_ROWS))
 
@@ -254,3 +267,22 @@ def test_frozen_values_refuse_assignment_and_compare_by_fields(name):
             hash(a)
     else:
         assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+# The public value classes whose fields can be reassigned; the README's
+# immutability sentence names exactly these.
+_MUTABLE = ("BettiTable", "SearchReport", "VerificationReport")
+
+
+def test_every_other_public_value_is_frozen():
+    """Each public Value class is Frozen, and covered above, unless it is one
+    of the mutable classes the README names."""
+    values = {name for name in ghw.__all__
+              if isinstance(getattr(ghw, name), type) and issubclass(getattr(ghw, name), Value)}
+    assert set(_MUTABLE) <= values
+    assert values - set(_MUTABLE) == set(_FROZEN)
+    assert all(issubclass(getattr(ghw, name), Frozen) for name in _FROZEN)
+    assert not any(issubclass(getattr(ghw, name), Frozen) for name in _MUTABLE)
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    named = ", ".join(f"`{name}`" for name in _MUTABLE[:-1]) + f" and `{_MUTABLE[-1]}`"
+    assert f"All public values are immutable once constructed, except {named}" in readme

@@ -27,8 +27,8 @@ from ghw import (
 from ghw import resolution
 from ghw.gf2 import rank_of_words
 from ghw.groebner import test_set as extract_testset
-from ghw.resolution import (BettiTable, MonomialIdeal, _audit_relative, _fewest_cells,
-                            _nonface_table, _own_table, _relative_homology)
+from ghw.resolution import (BettiTable, MonomialIdeal, _audit_relative, _certified, _critical,
+                            _fewest_cells, _nonface_table, _own_table, _relative_homology)
 
 import known_codes as kc
 from test_codes import random_code
@@ -656,6 +656,164 @@ def test_targeted_sweep_skips_sets_holding_too_few_generators(code149, kind, cal
     monkeypatch.setattr(resolution, "_relative_homology", counted)
     assert hochster_min_shifts(ideal) == kc.CODE149_GHW
     assert len(seen) == calls
+
+
+# --- the Morse certificate: critical cells of the element matchings ---------
+
+def critical_by_sets(faces: set[int], order) -> set[int]:
+    """The oracle for _critical: the cells left by pairing, for each vertex
+    u in order, every cell F without u with the cell F | u."""
+    cells = set(faces)
+    for u in order:
+        bit = 1 << u
+        low = {f for f in cells if not f & bit and f | bit in cells}
+        cells -= low | {f | bit for f in low}
+    return cells
+
+
+def certified_by_counts(counts: list[int], lo: int, hi: int) -> list[int | None]:
+    """The oracle for _certified, from the critical cells per size:
+    c_s = 0 gives 0, c_{s-1} = c_{s+1} = 0 gives c_s, anything else None."""
+    c = [0, *counts, 0]  # c[s + 1] = c_s, nothing at s = -1 or past the top
+    return [None if c[s + 1] and (c[s] or c[s + 2]) else c[s + 1] for s in range(lo, hi + 1)]
+
+
+def reversed_matchings(monkeypatch):
+    """Match the vertices in descending order, not ascending."""
+    real = resolution._critical
+    monkeypatch.setattr(resolution, "_critical",
+                        lambda table, bits, order: real(table, bits, reversed(order)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(generator_families(), st.data(), st.sampled_from(BLOCK_SIZES))
+def test_critical_cells_are_those_of_the_element_matchings(ideal, data, bits):
+    """The packed matchings, in any vertex order, leave exactly the cells
+    the set-by-set pairing leaves.  As discrete Morse theory says, each
+    size holds at least as many of them as the homology there, and their
+    alternating count is the reduced Euler characteristic.  Blocks of 2^2
+    and 2^3 masks send the vertices above them through the step that
+    pairs whole blocks."""
+    w = data.draw(st.integers(1, (1 << ideal.n) - 1))
+    k = w.bit_count()
+    order = data.draw(st.permutations(range(k)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_BLOCK_BITS", bits)
+        table = _own_table(w, ideal.gens)
+        cells = unpack(_critical(table, min(bits, k), order), k)
+    faces = {x for x, nonface in enumerate(unpack(table, k)) if not nonface}
+    assert {x for x, bit in enumerate(cells) if bit} == critical_by_sets(faces, order)
+    dims = reduced_homology_dims(restricted_faces(ideal, w))
+    counts = [0] * (k + 1)
+    for x, bit in enumerate(cells):
+        counts[x.bit_count()] += bit
+    assert all(c >= dims.get(s - 1, 0) for s, c in enumerate(counts))
+    assert sum((-1) ** s * (c - dims.get(s - 1, 0)) for s, c in enumerate(counts)) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(BLOCK_SIZES))
+def test_certified_counts_every_level_around_the_window(data, bits):
+    """Any critical cells at all, not only those of a matching (where two
+    neighbouring nonempty sizes are rare): _certified counts each size of
+    the window and the one on each side of it, and decides from them."""
+    k = data.draw(st.integers(1, 10))
+    bits = min(bits, k)
+    blocks = data.draw(st.lists(st.integers(0, (1 << (1 << bits)) - 1),
+                                min_size=1 << (k - bits), max_size=1 << (k - bits)))
+    lo = data.draw(st.integers(0, k - 1))
+    hi = data.draw(st.integers(lo, k - 1))
+    counts = [0] * (k + 1)
+    for x, bit in enumerate(unpack(blocks, k)):
+        counts[x.bit_count()] += bit
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_critical", lambda table, bits, order: blocks)
+        assert _certified([0] * len(blocks), bits, k, lo, hi) == certified_by_counts(counts, lo, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(generator_families(), st.data(), st.sampled_from(BLOCK_SIZES), st.booleans())
+@example(ideal_from_supports(3, [0b111]), None, 2, False)  # the hollow triangle: c = h at size 2
+def test_certified_levels_are_the_homology_of_the_restriction(ideal, data, bits, descending):
+    """_certified decides a level exactly where the critical cells of the
+    order it matches in settle it, over the whole complex and over any
+    window of levels; every level it decides is the face-by-face
+    homology, and so is the kernel's answer.  The vertices are matched
+    in the kernel's order or in descending order."""
+    w = (1 << ideal.n) - 1 if data is None else data.draw(st.integers(1, (1 << ideal.n) - 1))
+    k = w.bit_count()
+    dims = reduced_homology_dims(restricted_faces(ideal, w))
+    expected = [dims.get(s - 1, 0) for s in range(k)]
+    lo = data.draw(st.integers(0, k - 1)) if data else 0
+    hi = data.draw(st.integers(lo, k - 1)) if data else k - 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_BLOCK_BITS", bits)
+        real = resolution._critical
+        orders = []  # the order of each matching sequence run
+
+        def spy(table, bits, order):
+            orders.append(list(order))
+            return real(table, bits, orders[-1])
+
+        mp.setattr(resolution, "_critical", spy)
+        if descending:
+            reversed_matchings(mp)
+        table = _own_table(w, ideal.gens)
+        faces = {x for x, nonface in enumerate(unpack(table, k)) if not nonface}
+        for a, b in ((0, k - 1), (lo, hi)):
+            decided = _certified(table, min(bits, k), k, a, b)
+            counts = [0] * (k + 1)
+            for x in critical_by_sets(faces, orders[-1]):
+                counts[x.bit_count()] += 1
+            assert decided == certified_by_counts(counts, a, b)
+            assert all(h in (None, e) for h, e in zip(decided, expected[a:b + 1]))
+        assert _relative_homology(w, ideal.gens, False, lo, hi) == expected[lo:hi + 1]
+        assert _relative_homology(w, ideal.gens, True, lo, hi) == expected[lo:hi + 1]
+
+
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("kind, calls, fallbacks, reversed_fallbacks",
+                         [("degrevlex", 371, 1, 3), ("deglex", 452, 1, 5)])
+def test_certificate_leaves_few_sets_to_the_boundary_ranks(code149, kind, calls, fallbacks,
+                                                           reversed_fallbacks, descending,
+                                                           monkeypatch):
+    """On the [14,9] test sets the critical cells decide all but one of the
+    targeted sweep's kernel calls; matched in descending order they leave
+    a few more to the ranks, and the shifts stay the same."""
+    basis, _ = reduced_groebner_basis(code149, TermOrder.default(14, kind))
+    ideal = ideal_from_supports(14, extract_testset(basis, code149))
+    seen, ranked = [], []
+    kernel, ranks = _relative_homology, resolution._ranked
+
+    def counted(*args):
+        seen.append(args[0])
+        return kernel(*args)
+
+    def counted_ranks(*args):
+        ranked.append(args[0])
+        return ranks(*args)
+
+    if descending:
+        reversed_matchings(monkeypatch)
+    monkeypatch.setattr(resolution, "_relative_homology", counted)
+    monkeypatch.setattr(resolution, "_ranked", counted_ranks)
+    assert hochster_min_shifts(ideal) == kc.CODE149_GHW
+    assert len(seen) == calls
+    assert len(ranked) <= (reversed_fallbacks if descending else fallbacks)
+
+
+def test_audit_rejects_a_wrong_certificate(monkeypatch):
+    """Critical cells that claim no homology at all: the plain kernel
+    believes them, and audit, which also takes the ranks, refuses them."""
+    monkeypatch.setattr(resolution, "_critical", lambda table, bits, order: [0] * len(table))
+    ideal = ideal_from_supports(3, [0b111])  # the hollow triangle, h = 1 at size 2
+    assert _relative_homology(0b111, ideal.gens, False) == [0, 0, 0]
+    with pytest.raises(TheoremViolation, match="Morse certificate"):
+        _relative_homology(0b111, ideal.gens, True)
+    with pytest.raises(TheoremViolation, match="Morse certificate"):
+        betti_table_hochster(ideal, audit=True)
+    with pytest.raises(TheoremViolation, match="Morse certificate"):
+        hochster_min_shifts(ideal, audit=True)
 
 
 def test_targeted_sweep_refused_past_the_mask_budget(monkeypatch):
