@@ -5,24 +5,33 @@ circuit-ideal Betti table.
 A code is held as a canonical (rref) generator matrix plus the derived
 parity-check matrix.  Each code builds its subcode table once, on first
 use: dim C(W), the dimension of the subcode supported inside W, for all
-2^n coordinate masks W at one byte per mask, from one subset-sum (zeta)
-transform of the codeword indicator, O(n 2^n) field updates run on
-packed blocks of masks.  ghw_hierarchy reads d_h = min{|W| : dim C(W) >= h}
-off it; circuit_betti_table reads the Betti table of the circuit ideal
-off it with one Moebius transform more, and ghw_via_resolution reads the
-hierarchy off that table; subcode_dims is its bytes view.
-Everything here lives under the global length cap enforced at
-construction.
+2^n coordinate masks W at one byte per mask, from a subset-sum (zeta)
+transform of the codeword indicator run on packed blocks of masks.  A
+block covers the masks of the low coordinates under one high part i, and
+its codewords are C_0, the subcode inside the low coordinates, or a coset
+a + C_0 (or none).  Before the steps that merge whole blocks, a coset
+block counts |C_0(x)| at each low mask x that contains one of its members
+(adding that member maps the members inside x one to one onto C_0(x)) and
+0 elsewhere, so only C_0's block gets the counting steps; every other
+block is C_0's masked by the OR closure of its own indicator.
+
+ghw_hierarchy reads d_h = min{|W| : dim C(W) >= h} off the table;
+circuit_betti_table reads the Betti table of the circuit ideal off it
+with one Moebius transform more, and ghw_via_resolution reads the
+hierarchy off that table; subcode_dims is its bytes view.  Everything
+here lives under the global length cap enforced at construction.
 """
 
 from __future__ import annotations
 
 import struct
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import compress
 
 from .errors import SIZE_CAP, LengthCapExceeded, TheoremViolation, ZeroCode
-from .gf2 import (_BLOCK_BITS, BinaryMatrix, Frozen, _indicator_blocks, _levels, _ones,
-                  _subset_transform, inclusion_minimal, kernel_basis, rref)
+from .gf2 import (_BLOCK_BITS, BinaryMatrix, Frozen, _across_blocks, _block_closure,
+                  _block_transform, _indicator_blocks, _levels, _ones, _subset_transform,
+                  inclusion_minimal, kernel_basis, rref)
 
 # resolution is imported where a table is built or read, so that loading
 # codes (every CLI command does) does not load the Betti-table machinery.
@@ -85,10 +94,25 @@ class Code(Frozen):
     @cached_property
     def _dims(self) -> tuple[int, list[int]]:
         """(bits, blocks): subcode_dims as packed byte blocks of 2^bits
-        masks each, built once per code."""
+        masks each, built once per code.
+
+        Field x of block i starts as e = 1 + log2 of the number of
+        codewords with high part i and low part inside x (0 for none).
+        Block 0 holds C_0, the subcode inside the low bits coordinates, and
+        gets the within-block merge steps.  Every other nonempty block
+        holds a coset a + C_0, and adding any member a' of it inside x maps
+        the members inside x one to one onto C_0(x), so its field is block
+        0's wherever some member lies inside x, 0 elsewhere: block 0 masked
+        by the OR closure of the coset's indicator.  The across-block merge
+        steps then finish the transform.
+        """
         bits = min(_BLOCK_BITS, self.n)
         blocks = _indicator_blocks(self.codewords(), self.n, bits)  # count 1 (e = 1) per codeword
-        _subset_transform(blocks, bits, 8, _merge_counts)
+        low = blocks[0] = _block_transform(blocks[0], bits, 8, _merge_counts)
+        for i in range(1, len(blocks)):
+            if blocks[i]:
+                blocks[i] = low & _block_closure(blocks[i], bits, 8) * 0xFF
+        _across_blocks(blocks, bits, 8, _merge_counts)
         every = _ones(bits, 8)
         for i in range(len(blocks)):
             blocks[i] -= every  # e >= 1 everywhere: the zero word lies in every W
@@ -175,6 +199,12 @@ def _largest_by_size(blocks, bits: int, n: int) -> list[int]:
     return best
 
 
+@cache
+def _sizes(bits: int) -> tuple[int, ...]:
+    """sizes[t] = |t| for each field index t of a block of 2^bits masks."""
+    return tuple([t.bit_count() for t in range(1 << bits)])
+
+
 def subcode_dims(c: Code) -> bytes:
     """dims[W] = dim C(W), the dimension of {v in C : supp(v) inside W},
     for every coordinate mask W, one byte per mask: the bytes view of the
@@ -210,15 +240,14 @@ def circuit_betti_table(c: Code) -> BettiTable:
         blocks.append(int.from_bytes(fields, "little"))
     _subset_transform(blocks, bits, 32, _difference)
     unbias = _BIAS * _ones(bits, 32)
-    sizes = [t.bit_count() for t in range(size)]
+    sizes = _sizes(bits)
     sums: dict[tuple[int, int], int] = {}
     for i, (x, y) in enumerate(zip(blocks, dim_blocks)):
         p = i.bit_count()
         ms = struct.unpack(f"<{size}i", (x ^ unbias).to_bytes(4 * size, "little"))
-        for m, dim, q in zip(ms, y.to_bytes(size, "little"), sizes):
-            if m:
-                key = (dim, p + q)
-                sums[key] = sums.get(key, 0) + m
+        for m, dim, q in compress(zip(ms, y.to_bytes(size, "little"), sizes), ms):
+            key = (dim, p + q)
+            sums[key] = sums.get(key, 0) + m
     entries = {}
     for (dim, j), m in sums.items():
         beta = -m if dim % 2 else m

@@ -29,7 +29,7 @@ def word_from_string(s: str) -> int:
 
 def word_to_string(word: int, n: int) -> str:
     """Render a word as an n-character bitstring, coordinate 1 leftmost."""
-    return "".join("1" if (word >> i) & 1 else "0" for i in range(n))
+    return bin(word & ((1 << n) - 1) | 1 << n)[:2:-1]  # bit n set keeps the leading zeros
 
 
 def bitstring_sorted(words, n: int) -> list[int]:
@@ -256,22 +256,31 @@ def _indicator_blocks(masks, n: int, bits: int) -> list[int]:
     return [int.from_bytes(fill.pop(i, b""), "little") for i in range(1 << (n - bits))]
 
 
-def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
-    """One subset transform over packed blocks, in place.
-
-    blocks[i] holds the fields of the masks i * 2^bits ... (i + 1) * 2^bits
-    - 1.  For each coordinate j in turn and each mask m without j, the
-    field of m + {j} becomes step(field of m, field of m + {j}, ones),
+def _block_transform(x: int, bits: int, width: int, step) -> int:
+    """The steps of a subset transform that pair the fields of one block:
+    for each coordinate j < bits and each field index t without j, the
+    field of t + {j} becomes step(field of t, field of t + {j}, ones),
     where ones has a 1 in each field the call covers; every result must
-    fit its field.  Coordinates below bits pair the fields of one block,
-    the higher ones pair whole blocks.
-    """
-    low = _pair_patterns(bits, width)
-    for i, x in enumerate(blocks):
-        for shift, keep, ones in low:
-            lo = x & keep
-            x = lo | step(lo, (x >> shift) & keep, ones) << shift
-        blocks[i] = x
+    fit its field."""
+    for shift, keep, ones in _pair_patterns(bits, width):
+        lo = x & keep
+        x = lo | step(lo, (x >> shift) & keep, ones) << shift
+    return x
+
+
+def _block_closure(x: int, bits: int, width: int) -> int:
+    """The OR closure within one block of 0/1 fields: a 1 in the field of
+    every index that contains the index of some 1 of x.  One shift-OR per
+    coordinate, which is _block_transform with an OR step."""
+    for shift, keep, _ in _pair_patterns(bits, width):
+        x |= (x & keep) << shift
+    return x
+
+
+def _across_blocks(blocks: list[int], bits: int, width: int, step) -> None:
+    """The steps of a subset transform that pair whole blocks, in place:
+    for each coordinate at or above bits, block i with that bit becomes
+    step(block without it, block i, ones), field by field."""
     ones = _ones(bits, width)
     bit = 1
     while bit < len(blocks):
@@ -279,3 +288,29 @@ def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
             if i & bit:
                 blocks[i] = step(blocks[i ^ bit], blocks[i], ones)
         bit <<= 1
+
+
+def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
+    """One subset transform over packed blocks, in place.
+
+    blocks[i] holds the fields of the masks i * 2^bits ... (i + 1) * 2^bits
+    - 1.  For each coordinate j in turn and each mask m without j, the
+    field of m + {j} becomes step(field of m, field of m + {j}, ones).
+    Coordinates below bits pair the fields of one block
+    (_block_transform), the higher ones pair whole blocks (_across_blocks).
+    """
+    for i, x in enumerate(blocks):
+        blocks[i] = _block_transform(x, bits, width, step)
+    _across_blocks(blocks, bits, width, step)
+
+
+def _or_closure(blocks: list[int], bits: int, width: int) -> None:
+    """The subset transform with an OR step on 0/1 fields, in place: each
+    mask gets a 1 when it contains some mask with a 1."""
+    for i, x in enumerate(blocks):
+        blocks[i] = _block_closure(x, bits, width)
+    _across_blocks(blocks, bits, width, _or)
+
+
+def _or(lo: int, hi: int, ones: int) -> int:
+    return lo | hi

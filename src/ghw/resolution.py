@@ -47,8 +47,8 @@ from __future__ import annotations
 
 from .errors import (SIZE_CAP, CapExceeded, EmptyAmbient, LengthCapExceeded, TheoremViolation,
                      TooFewGenerators)
-from .gf2 import (_BLOCK_BITS, Frozen, Value, _levels, _ones, _subset_transform,
-                  inclusion_minimal, rank_of_words)
+from .gf2 import (_BLOCK_BITS, Frozen, Value, _levels, _ones, _or_closure, inclusion_minimal,
+                  rank_of_words)
 
 # A size bound: a sweep whose lcm lattice has a sum of 2^(|W|-1) past this
 # is refused up front, before any homology.  The sum counts no operation of
@@ -114,14 +114,15 @@ def ideal_from_supports(n: int, supports) -> MonomialIdeal:
 def _nonface_table(n: int, gens) -> list[int]:
     """nonface[m] = 1 iff the mask m contains some generator, for all 2^n
     masks, as packed blocks of one-bit fields (bit x of block i is the
-    mask i * 2^bits + x): the generator indicator pushed up to every
-    superset by one OR transform, O(n 2^n) field updates."""
+    mask i * 2^bits + x): the OR closure of the generator indicator
+    (gf2._or_closure), one shift-OR per coordinate inside each block and
+    one OR per pair of blocks across them."""
     bits = min(_BLOCK_BITS, n)
     low = (1 << bits) - 1
     blocks = [0] * (1 << (n - bits))
     for g in gens:
         blocks[g >> bits] |= 1 << (g & low)
-    _subset_transform(blocks, bits, 1, lambda lo, hi, ones: lo | hi)
+    _or_closure(blocks, bits, 1)
     return blocks
 
 

@@ -23,7 +23,7 @@ from ghw import (
     word_to_string,
 )
 from ghw.codes import GhwSequence, _largest_by_size
-from ghw.gf2 import _ones, rank_of_words
+from ghw.gf2 import _indicator_blocks, _ones, _subset_transform, rank_of_words
 
 import known_codes as kc
 from conftest import make_code
@@ -329,6 +329,49 @@ def test_code_builds_its_subcode_table_once(monkeypatch):
     circuit_betti_table(code)
     subcode_dims(code)
     assert len(calls) == 1
+
+
+def dims_by_full_transform(code) -> bytes:
+    """The subcode table as it was built before the coset build: one merge
+    transform over every block of the codeword indicator, within blocks
+    and across them."""
+    bits = min(ghw.codes._BLOCK_BITS, code.n)
+    blocks = _indicator_blocks(code.codewords(), code.n, bits)
+    _subset_transform(blocks, bits, 8, ghw.codes._merge_counts)
+    every = _ones(bits, 8)
+    return b"".join([(x - every).to_bytes(1 << bits, "little") for x in blocks])
+
+
+def test_coset_build_matches_the_full_transform():
+    """Seeded codes with n = 13..20 at the default block size, so every
+    code has coset blocks: C_0 = {0} (each row has its own high pivot),
+    k = n, k = 1, dead high columns (empty blocks) and degenerate codes."""
+    rng = random.Random(17)
+    bits = ghw.codes._BLOCK_BITS
+    codes = []
+    for n in range(13, 21):
+        high = n - bits
+        rows = tuple(1 << (bits + i) | rng.getrandbits(bits) for i in range(rng.randint(1, high)))
+        codes.append(Code.from_generator(BinaryMatrix(rows, n)))  # C_0 = {0}
+        if n % 2:
+            codes.append(Code.from_generator(BinaryMatrix(tuple(1 << j for j in range(n)), n)))
+        for k in (1, n // 2, n - 3):
+            code = random_code(rng, n, k)
+            codes.append(code)
+            dead = (rng.getrandbits(high) << bits if k % 2  # high columns only
+                    else rng.getrandbits(n) & rng.getrandbits(n))
+            rows = tuple(r & ~dead for r in code.generator.rows)
+            if any(rows):
+                codes.append(Code.from_generator(BinaryMatrix(rows, n)))
+    trivial = bytes(1 << bits)
+    assert sum(subcode_dims(c)[:1 << bits] == trivial for c in codes) >= 8
+    assert sum(not c.nondegenerate for c in codes) >= 8
+    assert sum(c.k == 1 for c in codes) >= 8 and sum(c.k == c.n for c in codes) >= 4
+    # some block of the codeword indicator is empty
+    assert sum(len({w >> bits for w in c.codewords()}) < 1 << (c.n - bits) for c in codes) >= 8
+    for code in codes:
+        assert code._dims[0] == bits and len(code._dims[1]) > 1
+        assert subcode_dims(code) == dims_by_full_transform(code), code.generator
 
 
 def test_cached_table_keeps_its_own_block_size():

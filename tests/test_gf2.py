@@ -7,8 +7,8 @@ import ghw
 from ghw import (BinaryMatrix, Binomial, Code, CosetTable, GhwSequence, TermOrder,
                  ideal_from_supports, kernel_basis, reduced_groebner_basis, rref,
                  second_weight_witness, word_from_string, word_to_string)
-from ghw.gf2 import (Frozen, Value, _levels, _ones, bitstring_sorted, inclusion_minimal,
-                     rank_of_words)
+from ghw.gf2 import (Frozen, Value, _block_closure, _levels, _ones, _or_closure,
+                     bitstring_sorted, inclusion_minimal, rank_of_words)
 
 import known_codes as kc
 
@@ -61,6 +61,22 @@ def test_word_string_round_trip():
         assert word_from_string(word_to_string(word, 6)) == word
     with pytest.raises(ValueError):
         word_from_string("10x")
+
+
+def word_to_string_by_bits(word: int, n: int) -> str:
+    """The per-bit form of word_to_string: coordinate i + 1 is bit i."""
+    return "".join("1" if (word >> i) & 1 else "0" for i in range(n))
+
+
+def test_word_to_string_matches_the_per_bit_form():
+    """Every n in 0..24, on 0, all-ones, seeded words and words with bits
+    at n or above, which the rendering ignores."""
+    rng = random.Random(24)
+    for n in range(25):
+        words = [0, (1 << n) - 1, 1 << n, rng.getrandbits(n + 8), -1]
+        words += [rng.getrandbits(n) for _ in range(20)]
+        for word in words:
+            assert word_to_string(word, n) == word_to_string_by_bits(word, n), (word, n)
 
 
 def test_rref_identity():
@@ -226,6 +242,40 @@ def test_levels_mark_the_fields_of_each_size(width):
         for s, level in enumerate(levels):
             assert level == sum(1 << (width * x) for x in range(1 << bits)
                                 if x.bit_count() == s), (bits, s)
+
+
+def closure_by_mask(masks, n: int) -> list[int]:
+    """closed[m] = 1 iff m contains some given mask, mask by mask."""
+    return [int(any(g & m == g for g in masks)) for m in range(1 << n)]
+
+
+def packed(fields, n: int, bits: int, width: int) -> list[int]:
+    """0/1 fields, one per mask, as packed blocks of 2^bits fields."""
+    blocks = [0] * (1 << (n - bits))
+    for m, f in enumerate(fields):
+        blocks[m >> bits] |= f << (width * (m & ((1 << bits) - 1)))
+    return blocks
+
+
+@pytest.mark.parametrize("width", [1, 8])
+@pytest.mark.parametrize("bits", [2, 3, 12])
+def test_or_closure_matches_the_superset_oracle(width, bits):
+    """Seeded mask sets on up to 13 coordinates (several blocks when n
+    exceeds bits), the empty set and the empty mask included; each block's
+    own closure is the same oracle on its block alone."""
+    rng = random.Random(8 * width + bits)
+    for n in range(bits, 12 if bits < 12 else 14):
+        for size in (0, 1, 3, 12):
+            masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(size)]
+            if size == 1:
+                masks.append(0)
+            blocks = packed([int(m in masks) for m in range(1 << n)], n, bits, width)
+            low = (1 << bits) - 1
+            own = [packed(closure_by_mask([m & low for m in masks if m >> bits == i], bits),
+                          bits, bits, width)[0] for i in range(len(blocks))]
+            assert [_block_closure(x, bits, width) for x in blocks] == own, (n, masks)
+            _or_closure(blocks, bits, width)
+            assert blocks == packed(closure_by_mask(masks, n), n, bits, width), (n, masks)
 
 
 def _toy63():
