@@ -28,7 +28,8 @@ def word_from_string(s: str) -> int:
 
 
 def word_to_string(word: int, n: int) -> str:
-    """Render a word as an n-character bitstring, coordinate 1 leftmost."""
+    """Render a word as an n-character bitstring, coordinate 1 leftmost;
+    bits at n and above are ignored."""
     return bin(word & ((1 << n) - 1) | 1 << n)[:2:-1]  # bit n set keeps the leading zeros
 
 
@@ -304,6 +305,10 @@ def _subset_transform(blocks: list[int], bits: int, width: int, step) -> None:
     _across_blocks(blocks, bits, width, step)
 
 
+def _or(lo: int, hi: int, ones: int) -> int:
+    return lo | hi
+
+
 def _or_closure(blocks: list[int], bits: int, width: int) -> None:
     """The subset transform with an OR step on 0/1 fields, in place: each
     mask gets a 1 when it contains some mask with a 1."""
@@ -311,6 +316,3 @@ def _or_closure(blocks: list[int], bits: int, width: int) -> None:
         blocks[i] = _block_closure(x, bits, width)
     _across_blocks(blocks, bits, width, _or)
 
-
-def _or(lo: int, hi: int, ones: int) -> int:
-    return lo | hi

@@ -244,38 +244,41 @@ def test_levels_mark_the_fields_of_each_size(width):
                                 if x.bit_count() == s), (bits, s)
 
 
-def closure_by_mask(masks, n: int) -> list[int]:
-    """closed[m] = 1 iff m contains some given mask, mask by mask."""
-    return [int(any(g & m == g for g in masks)) for m in range(1 << n)]
+def closure_by_mask(masks, n: int, bits: int) -> tuple[list[int], list[int]]:
+    """(within, full): within[m] = 1 iff m contains some given mask with
+    the same high part m >> bits, full[m] = 1 iff m contains any given
+    mask, mask by mask."""
+    within = [int(any(g >> bits == m >> bits and g & m == g for g in masks))
+              for m in range(1 << n)]
+    return within, [int(any(g & m == g for g in masks)) for m in range(1 << n)]
 
 
-def packed(fields, n: int, bits: int, width: int) -> list[int]:
-    """0/1 fields, one per mask, as packed blocks of 2^bits fields."""
-    blocks = [0] * (1 << (n - bits))
-    for m, f in enumerate(fields):
-        blocks[m >> bits] |= f << (width * (m & ((1 << bits) - 1)))
-    return blocks
+def unpacked(blocks, bits: int, width: int) -> list[int]:
+    """The fields of packed blocks of 2^bits fields, one per mask."""
+    field = (1 << width) - 1
+    return [x >> (width * t) & field for x in blocks for t in range(1 << bits)]
 
 
 @pytest.mark.parametrize("width", [1, 8])
 @pytest.mark.parametrize("bits", [2, 3, 12])
 def test_or_closure_matches_the_superset_oracle(width, bits):
     """Seeded mask sets on up to 13 coordinates (several blocks when n
-    exceeds bits), the empty set and the empty mask included; each block's
-    own closure is the same oracle on its block alone."""
+    exceeds bits), the empty set and the empty mask included: each
+    block's own closure, then the closure across blocks."""
     rng = random.Random(8 * width + bits)
     for n in range(bits, 12 if bits < 12 else 14):
         for size in (0, 1, 3, 12):
             masks = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(size)]
             if size == 1:
                 masks.append(0)
-            blocks = packed([int(m in masks) for m in range(1 << n)], n, bits, width)
-            low = (1 << bits) - 1
-            own = [packed(closure_by_mask([m & low for m in masks if m >> bits == i], bits),
-                          bits, bits, width)[0] for i in range(len(blocks))]
-            assert [_block_closure(x, bits, width) for x in blocks] == own, (n, masks)
+            blocks = [0] * (1 << (n - bits))
+            for m in masks:
+                blocks[m >> bits] |= 1 << (width * (m & ((1 << bits) - 1)))
+            within, full = closure_by_mask(masks, n, bits)
+            own = [_block_closure(x, bits, width) for x in blocks]
+            assert unpacked(own, bits, width) == within, (n, masks)
             _or_closure(blocks, bits, width)
-            assert blocks == packed(closure_by_mask(masks, n), n, bits, width), (n, masks)
+            assert unpacked(blocks, bits, width) == full, (n, masks)
 
 
 def _toy63():
