@@ -16,7 +16,7 @@ from itertools import permutations
 
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
 from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
-from .gf2 import BinaryMatrix, Frozen, Value, word_to_string
+from .gf2 import BinaryMatrix, Frozen, word_to_string
 from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
 from .resolution import (
     MonomialIdeal,
@@ -38,11 +38,6 @@ class WitnessPair(Frozen):
     """
 
     _fields = ("m1", "m2", "order")
-
-    def __init__(self, m1: int, m2: int, order: TermOrder):
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
-        object.__setattr__(self, "order", order)
 
     @property
     def union_size(self) -> int:
@@ -114,7 +109,7 @@ def check_symmetric_difference_lemma(n: int, trials: int, seed: int = 0) -> int:
     return checked
 
 
-class VerificationReport(Value):
+class VerificationReport(Frozen):
     """Everything one run of verify_code establishes about a code/order.
 
     The fields are the keys of its document, in document order.
@@ -124,31 +119,6 @@ class VerificationReport(Value):
                "minshift_testset", "pd_testset", "testset_size", "basis_size", "witness_m1",
                "witness_m2", "checks", "agreement_by_index", "exact_through_i3",
                "full_agreement", "pd_equals_k")
-
-    def __init__(self, n: int, k: int, generator_rows: tuple[str, ...], order: str,
-                 degenerate: bool, ghw: tuple[int, ...], minshift_full: tuple[int, ...],
-                 minshift_testset: tuple[int, ...], pd_testset: int, testset_size: int,
-                 basis_size: int, witness_m1: str, witness_m2: str, checks: dict[str, bool],
-                 agreement_by_index: tuple[bool, ...], exact_through_i3: bool | None,
-                 full_agreement: bool, pd_equals_k: bool):
-        self.n = n
-        self.k = k
-        self.generator_rows = generator_rows
-        self.order = order
-        self.degenerate = degenerate
-        self.ghw = ghw
-        self.minshift_full = minshift_full
-        self.minshift_testset = minshift_testset
-        self.pd_testset = pd_testset
-        self.testset_size = testset_size
-        self.basis_size = basis_size
-        self.witness_m1 = witness_m1
-        self.witness_m2 = witness_m2
-        self.checks = checks
-        self.agreement_by_index = agreement_by_index
-        self.exact_through_i3 = exact_through_i3
-        self.full_agreement = full_agreement
-        self.pd_equals_k = pd_equals_k
 
     def as_dict(self) -> dict:
         return (dict(zip(self._fields, self._astuple()))
@@ -277,42 +247,21 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
         yield report
 
 
-class SearchReport(Value):
-    """Aggregated outcome of a randomized counterexample search; its
-    counters start at zero and counterexample_search updates them."""
+class SearchReport(Frozen):
+    """Aggregated outcome of a randomized counterexample search."""
 
     _fields = ("n", "k", "trials", "seed", "orders", "evaluated", "skipped_rank_deficient",
                "skipped_degenerate", "flagged", "exactness_i3_failures",
                "flagged_always_pd_below_k")
 
-    def __init__(self, n: int, k: int, trials: int, seed: int, orders: tuple[str, ...]):
-        self.n = n
-        self.k = k
-        self.trials = trials
-        self.seed = seed
-        self.orders = orders
-        self.evaluated = 0
-        self.skipped_rank_deficient = 0
-        self.skipped_degenerate = 0
-        self.flagged: list[dict] = []
-        self.exactness_i3_failures = 0
-        self.flagged_always_pd_below_k = True
-
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "trials": self.trials,
-            "seed": self.seed,
-            "orders": list(self.orders),
-            "evaluated": self.evaluated,
-            "skipped_rank_deficient": self.skipped_rank_deficient,
-            "skipped_degenerate": self.skipped_degenerate,
-            "flagged_count": len(self.flagged),
-            "flagged": self.flagged,
-            "exactness_i3_failures": self.exactness_i3_failures,
-            "flagged_always_pd_below_k": self.flagged_always_pd_below_k,
-        }
+        doc = {}
+        for name, value in zip(self._fields, self._astuple()):
+            if name == "flagged":
+                doc["flagged_count"] = len(value)
+            doc[name] = value
+        doc["orders"] = list(self.orders)
+        return doc
 
 
 def counterexample_search(n: int, k: int, trials: int, seed: int,
@@ -330,28 +279,35 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
     """
     if not orders:
         orders = [TermOrder.default(n)]
-    report = SearchReport(n=n, k=k, trials=trials, seed=seed,
-                          orders=tuple(o.describe() for o in orders))
     check_symmetric_difference_lemma(n, 20, seed=seed)
+    evaluated = skipped_rank_deficient = skipped_degenerate = exactness_i3_failures = 0
+    flagged: list[dict] = []
 
-    def consider(matrix: BinaryMatrix, label: str) -> None:
+    def labelled():
+        for idx, matrix in enumerate(inject):
+            yield matrix, f"injected:{idx}"
+        for t in range(trials):
+            rng = random.Random(seed * 1_000_003 + t)
+            yield BinaryMatrix(tuple(rng.getrandbits(n) for _ in range(k)), n), f"random:{t}"
+
+    for matrix, label in labelled():
         try:
             code = Code.from_generator(matrix)
         except ZeroCode:
-            report.skipped_rank_deficient += 1
-            return
+            skipped_rank_deficient += 1
+            continue
         if code.k < k:
-            report.skipped_rank_deficient += 1
-            return
+            skipped_rank_deficient += 1
+            continue
         if not code.nondegenerate:
-            report.skipped_degenerate += 1
-            return
-        report.evaluated += 1
+            skipped_degenerate += 1
+            continue
+        evaluated += 1
         for res in _verify_orders(code, orders):
             if res.exact_through_i3 is False:
-                report.exactness_i3_failures += 1
+                exactness_i3_failures += 1
             if not res.full_agreement:
-                report.flagged.append({
+                flagged.append({
                     "trial": label,
                     "matrix": [" ".join(row) for row in code.generator.row_strings()],
                     "order": res.order,
@@ -361,16 +317,10 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
                     "k": code.k,
                     "exact_through_i3": res.exact_through_i3,
                 })
-                if res.pd_testset >= code.k:
-                    report.flagged_always_pd_below_k = False
-
-    for idx, matrix in enumerate(inject):
-        consider(matrix, f"injected:{idx}")
-    for t in range(trials):
-        rng = random.Random(seed * 1_000_003 + t)
-        rows = tuple(rng.getrandbits(n) for _ in range(k))
-        consider(BinaryMatrix(rows, n), f"random:{t}")
-    return report
+    return SearchReport(n, k, trials, seed, tuple(o.describe() for o in orders), evaluated,
+                        skipped_rank_deficient, skipped_degenerate, flagged,
+                        exactness_i3_failures,
+                        all(entry["pd_testset"] < entry["k"] for entry in flagged))
 
 
 def union_testsets(c: Code, orders: list[TermOrder]) -> MonomialIdeal:

@@ -48,14 +48,6 @@ class Code(Frozen):
 
     _fields = ("n", "k", "generator", "parity", "nondegenerate")
 
-    def __init__(self, n: int, k: int, generator: BinaryMatrix, parity: BinaryMatrix,
-                 nondegenerate: bool):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "nondegenerate", nondegenerate)
-
     @classmethod
     def from_generator(cls, m: BinaryMatrix) -> "Code":
         if m.ncols > SIZE_CAP:

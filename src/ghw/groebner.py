@@ -21,7 +21,7 @@ from functools import cached_property
 
 from .codes import Code
 from .errors import TheoremViolation
-from .gf2 import BinaryMatrix, Frozen, bitstring_sorted, word_to_string
+from .gf2 import Frozen, bitstring_sorted, word_to_string
 
 
 class TermOrder(Frozen):
@@ -90,10 +90,6 @@ class Binomial(Frozen):
 
     _fields = ("lead", "trail")
 
-    def __init__(self, lead: int, trail: int):
-        object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "trail", trail)
-
     @property
     def word(self) -> int:
         """lead XOR trail: a codeword of the originating code."""
@@ -120,13 +116,6 @@ class GroebnerBasis(Frozen):
 
     _fields = ("order", "n", "binomials", "standard_form_violations")
 
-    def __init__(self, order: TermOrder, n: int, binomials: tuple[Binomial, ...],
-                 standard_form_violations: tuple[Binomial, ...] = ()):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "binomials", binomials)
-        object.__setattr__(self, "standard_form_violations", standard_form_violations)
-
     def degree_one_leads(self) -> tuple[int, ...]:
         return tuple(b.lead for b in self.binomials if b.lead.bit_count() == 1)
 
@@ -148,10 +137,6 @@ class CosetTable(Frozen):
     """
 
     _fields = ("parity", "leaders")
-
-    def __init__(self, parity: BinaryMatrix, leaders: dict[int, int]):
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "leaders", leaders)
 
     def syndrome(self, word: int) -> int:
         return self.parity.mul_word(word)

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from .errors import (SIZE_CAP, CapExceeded, EmptyAmbient, LengthCapExceeded, TheoremViolation,
                      TooFewGenerators)
-from .gf2 import (_BLOCK_BITS, Frozen, Value, _levels, _ones, _or_closure, inclusion_minimal,
+from .gf2 import (_BLOCK_BITS, Frozen, _levels, _ones, _or_closure, inclusion_minimal,
                   rank_of_words)
 
 # A size bound: a sweep whose lcm lattice has a sum of 2^(|W|-1) past this
@@ -63,12 +63,8 @@ class MonomialIdeal(Frozen):
 
     _fields = ("n", "gens")
 
-    def __init__(self, n: int, gens: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "gens", gens)
 
-
-class BettiTable(Value):
+class BettiTable(Frozen):
     """Sparse graded Betti numbers: entries[(i, j)] = beta_{i,j} > 0."""
 
     _fields = ("entries",)
@@ -77,7 +73,7 @@ class BettiTable(Value):
         for (i, j), beta in entries.items():
             if beta <= 0:
                 raise ValueError(f"nonpositive count at ({i}, {j})")
-        self.entries = entries
+        object.__setattr__(self, "entries", entries)
 
     @property
     def pd(self) -> int:

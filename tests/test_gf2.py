@@ -1,13 +1,15 @@
+import inspect
 import random
 from pathlib import Path
 
 import pytest
 
 import ghw
-from ghw import (BinaryMatrix, Binomial, Code, CosetTable, GhwSequence, TermOrder,
-                 ideal_from_supports, kernel_basis, reduced_groebner_basis, rref,
-                 second_weight_witness, word_from_string, word_to_string)
-from ghw.gf2 import (Frozen, Value, _block_closure, _levels, _ones, _or_closure,
+from ghw import (BettiTable, BinaryMatrix, Binomial, Code, GhwSequence, TermOrder,
+                 counterexample_search, ideal_from_supports, kernel_basis,
+                 reduced_groebner_basis, rref, second_weight_witness, verify_code,
+                 word_from_string, word_to_string)
+from ghw.gf2 import (Frozen, _block_closure, _levels, _ones, _or_closure,
                      bitstring_sorted, inclusion_minimal, rank_of_words)
 
 import known_codes as kc
@@ -285,7 +287,7 @@ def _toy63():
     return Code.from_generator(BinaryMatrix.from_strings(kc.TOY63_ROWS))
 
 
-# Each public frozen class: a builder that makes a fresh instance from fresh
+# Each public value class: a builder that makes a fresh instance from fresh
 # but equal fields, and one of its fields.
 _FROZEN = {
     "BinaryMatrix": (lambda: BinaryMatrix((0b011, 0b110), 3), "rows"),
@@ -299,7 +301,14 @@ _FROZEN = {
                    "leaders"),
     "MonomialIdeal": (lambda: ideal_from_supports(6, [0b000011, 0b001100]), "gens"),
     "WitnessPair": (lambda: second_weight_witness(_toy63(), TermOrder.default(6)), "m1"),
+    "BettiTable": (lambda: BettiTable({(0, 0): 1, (1, 2): 3}), "entries"),
+    "VerificationReport": (lambda: verify_code(_toy63(), TermOrder.default(6)), "checks"),
+    "SearchReport": (lambda: counterexample_search(6, 3, trials=2, seed=1), "evaluated"),
 }
+
+# The values holding a dict or a list: they hash by their fields, so like
+# a dict or a list they are unhashable.  The README names them.
+_UNHASHABLE = ("BettiTable", "CosetTable", "SearchReport", "VerificationReport")
 
 
 @pytest.mark.parametrize("name", sorted(_FROZEN))
@@ -315,27 +324,53 @@ def test_frozen_values_refuse_assignment_and_compare_by_fields(name):
     with pytest.raises(AttributeError):
         a.not_a_field = 1
     assert getattr(a, field) == getattr(b, field)
-    if isinstance(a, CosetTable):  # its leaders are a dict, and like a dict it is unhashable
+    holds_container = any(isinstance(value, (dict, list)) for value in a._astuple())
+    assert holds_container == (name in _UNHASHABLE)
+    if holds_container:
         with pytest.raises(TypeError):
             hash(a)
     else:
         assert hash(a) == hash(b) and len({a, b}) == 1
 
 
-# The public value classes whose fields can be reassigned; the README's
-# immutability sentence names exactly these.
-_MUTABLE = ("BettiTable", "SearchReport", "VerificationReport")
-
-
-def test_every_other_public_value_is_frozen():
-    """Each public Value class is Frozen, and covered above, unless it is one
-    of the mutable classes the README names."""
-    values = {name for name in ghw.__all__
-              if isinstance(getattr(ghw, name), type) and issubclass(getattr(ghw, name), Value)}
-    assert set(_MUTABLE) <= values
-    assert values - set(_MUTABLE) == set(_FROZEN)
-    assert all(issubclass(getattr(ghw, name), Frozen) for name in _FROZEN)
-    assert not any(issubclass(getattr(ghw, name), Frozen) for name in _MUTABLE)
+def test_every_public_value_is_frozen():
+    """Each public class other than an error is a Frozen value, covered
+    above, and the README promises immutability without exception."""
+    classes = {name for name in ghw.__all__ if isinstance(getattr(ghw, name), type)}
+    values = {name for name in classes if not issubclass(getattr(ghw, name), Exception)}
+    assert values == set(_FROZEN)
+    assert all(issubclass(getattr(ghw, name), Frozen) for name in values)
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
-    named = ", ".join(f"`{name}`" for name in _MUTABLE[:-1]) + f" and `{_MUTABLE[-1]}`"
-    assert f"All public values are immutable once constructed, except {named}" in readme
+    assert "All public values are immutable once constructed:" in readme
+    named = ", ".join(f"`{name}`" for name in _UNHASHABLE[:-1]) + f" and `{_UNHASHABLE[-1]}`"
+    assert f"{named}, which hold a dict or a list, are not hashable" in readme
+
+
+def test_value_classes_declare_their_fields_once():
+    """A class with checks takes exactly its _fields, in order; every other
+    value class takes them through Frozen's one __init__."""
+    own = {name for name in _FROZEN if "__init__" in vars(getattr(ghw, name))}
+    assert own == {"BettiTable", "BinaryMatrix", "GhwSequence", "TermOrder"}
+    for name in own:
+        cls = getattr(ghw, name)
+        assert tuple(inspect.signature(cls).parameters) == cls._fields, name
+    assert Binomial(trail=4, lead=3) == Binomial(3, trail=4) == Binomial(3, 4)
+    toy = _toy63()
+    assert Code(**{name: getattr(toy, name) for name in Code._fields}) == toy
+    assert Code(*toy._astuple()) == toy
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Binomial(3), "missing field 'trail'"),
+    (lambda: Binomial(trail=4), "missing field 'lead'"),
+    (lambda: Binomial(3, 4, 5), "takes 2 fields, got 3"),
+    (lambda: Binomial(3, lead=4), "repeated field 'lead'"),
+    (lambda: Binomial(3, 4, weight=2), "unknown field 'weight'"),
+    (lambda: Code(6, 3), "missing field 'generator'"),
+    (lambda: Code(*_toy63()._astuple(), None), "takes 5 fields, got 6"),
+    (lambda: Code(*_toy63()._astuple(), n=6), "repeated field 'n'"),
+    (lambda: Code(*_toy63()._astuple()[:4], degenerate=False), "unknown field 'degenerate'"),
+])
+def test_frozen_init_refuses_missing_extra_repeated_and_unknown_fields(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
