@@ -23,7 +23,8 @@ _EXPORTS = {
                  "decode", "normal_form", "reduced_groebner_basis", "test_set"),
     "analysis": ("SearchReport", "VerificationReport", "WitnessPair", "all_priority_orders",
                  "counterexample_search", "d2_from_testset", "sample_orders",
-                 "second_weight_witness", "union_testsets", "verify_code"),
+                 "second_weight_witness", "union_all_orders", "union_testsets",
+                 "verify_code"),
     "resolution": ("BettiTable", "MonomialIdeal", "betti_table_hochster",
                    "hochster_min_shifts", "ideal_from_supports", "min_pair_union",
                    "min_shift_sequence", "min_shifts"),

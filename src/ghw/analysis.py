@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 import random
 from itertools import permutations
+from types import MappingProxyType
 
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
-from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
+from .errors import CapExceeded, DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, Frozen, word_to_string
 from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
 from .resolution import (
@@ -233,7 +234,7 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
             basis_size=basis.total_size(),
             witness_m1=witness_m1,
             witness_m2=witness_m2,
-            checks=checks,
+            checks=MappingProxyType(checks),
             agreement_by_index=agreement,
             exact_through_i3=exact_i3,
             full_agreement=all(agreement),
@@ -248,7 +249,11 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
 
 
 class SearchReport(Frozen):
-    """Aggregated outcome of a randomized counterexample search."""
+    """Aggregated outcome of a randomized counterexample search.
+
+    flagged is a tuple of read-only entries whose sequences are tuples;
+    as_dict gives each entry as a dict.
+    """
 
     _fields = ("n", "k", "trials", "seed", "orders", "evaluated", "skipped_rank_deficient",
                "skipped_degenerate", "flagged", "exactness_i3_failures",
@@ -259,6 +264,7 @@ class SearchReport(Frozen):
         for name, value in zip(self._fields, self._astuple()):
             if name == "flagged":
                 doc["flagged_count"] = len(value)
+                value = [dict(entry) for entry in value]
             doc[name] = value
         doc["orders"] = list(self.orders)
         return doc
@@ -281,7 +287,7 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
         orders = [TermOrder.default(n)]
     check_symmetric_difference_lemma(n, 20, seed=seed)
     evaluated = skipped_rank_deficient = skipped_degenerate = exactness_i3_failures = 0
-    flagged: list[dict] = []
+    flagged: list[MappingProxyType] = []
 
     def labelled():
         for idx, matrix in enumerate(inject):
@@ -307,18 +313,18 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
             if res.exact_through_i3 is False:
                 exactness_i3_failures += 1
             if not res.full_agreement:
-                flagged.append({
+                flagged.append(MappingProxyType({
                     "trial": label,
-                    "matrix": [" ".join(row) for row in code.generator.row_strings()],
+                    "matrix": tuple(" ".join(row) for row in code.generator.row_strings()),
                     "order": res.order,
-                    "ghw": list(res.ghw),
-                    "minshift_testset": list(res.minshift_testset),
+                    "ghw": res.ghw,
+                    "minshift_testset": res.minshift_testset,
                     "pd_testset": res.pd_testset,
                     "k": code.k,
                     "exact_through_i3": res.exact_through_i3,
-                })
+                }))
     return SearchReport(n, k, trials, seed, tuple(o.describe() for o in orders), evaluated,
-                        skipped_rank_deficient, skipped_degenerate, flagged,
+                        skipped_rank_deficient, skipped_degenerate, tuple(flagged),
                         exactness_i3_failures,
                         all(entry["pd_testset"] < entry["k"] for entry in flagged))
 
@@ -326,29 +332,123 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
 def union_testsets(c: Code, orders: list[TermOrder]) -> MonomialIdeal:
     """Union of the test sets over the given orders, as a support ideal.
 
-    The reduced basis depends only on the standard monomials, the coset
-    leaders, and every degree-compatible order takes its leaders among
-    the minimum-weight members of each coset.  Orders are keyed by the
-    member they pick in each coset with more than one; each class of
-    orders (a cone of the Groebner fan) gets one basis and one test set,
-    and TheoremViolation is raised unless its leaders are the members
-    the key names.
+    Orders are keyed by the member they pick in each coset with more than
+    one minimum-weight member, and each class of orders gets one basis
+    (see _union_by_class).
     """
     if not orders:
         raise ValueError("need at least one order")
+
+    def classes_of(tied):
+        classes: dict[tuple[int, ...], TermOrder] = {}
+        for o in orders:
+            key = ()
+            if tied:
+                # A copy of o picks the members, so that the caller's list
+                # does not keep a sort-key weight table alive for every order.
+                key = tuple(map(TermOrder(o.kind, o.priority).min_word, tied))
+            classes.setdefault(key, o)
+        return classes
+
+    return _union_by_class(c, classes_of)
+
+
+# Most work union_all_orders takes on, counted as states of its Groebner-fan
+# search times cosets of the code: a state holds a survivor set per tied
+# coset, and each class (a state) builds a reduced basis over every coset.
+# Each kind reaches a state by a sequence of distinct variables, of which
+# n = 7 has 13,700, and a code of length 7 has 64 cosets at most: 1.75e6 in
+# all, so the default all-orders union of a code with n <= 7 is never refused.
+FAN_BUDGET = 1 << 21
+
+
+def union_all_orders(c: Code) -> MonomialIdeal:
+    """Union of the test sets over every deglex and degrevlex order (all
+    2 * n! priority permutations), listing the classes of orders and never
+    the orders.
+
+    Every minimum-weight member of a tied coset has the same weight, so an
+    order picks among them by its tie-break alone.  deglex walks its
+    priority list and, at each variable on which the survivors differ,
+    keeps those without it; degrevlex walks the list from its lowest end
+    and keeps those with it.  A walked variable never splits the survivors
+    again, so the tuple of survivor sets after a prefix of the walk is the
+    whole state.  One depth-first search per kind visits each state once,
+    branching only on variables that split some set, and a state of
+    singletons is a class, keyed by those singletons.  The class's order
+    reads its walk, then the unwalked variables in ascending order, as
+    deglex priority or, reversed, as degrevlex priority.  CapExceeded,
+    before any basis is built, once the states visited times the cosets of
+    the code pass FAN_BUDGET.
+    """
+    cosets = 1 << (c.n - c.k)
+
+    def charge(states: int) -> None:
+        if states * cosets > FAN_BUDGET:
+            raise CapExceeded(
+                f"the Groebner-fan search of the [{c.n},{c.k}] code passed "
+                f"{states} states of {cosets} cosets "
+                f"(budget {FAN_BUDGET:.2e} = 2^{FAN_BUDGET.bit_length() - 1})")
+
+    def classes_of(tied):
+        classes: dict[tuple[int, ...], TermOrder] = {}
+        visited = 0
+        for kind, keep in (("deglex", False), ("degrevlex", True)):
+            seen = {tied}
+            visited += 1
+            stack = [(tied, ())]
+            while stack:
+                sets, walk = stack.pop()
+                splits = []  # per set, the variables on which its survivors differ
+                split = 0
+                for members in sets:
+                    ors, ands = 0, -1
+                    for m in members:
+                        ors |= m
+                        ands &= m
+                    splits.append(ors & ~ands)
+                    split |= ors & ~ands
+                if not split:
+                    key = tuple(members[0] for members in sets)
+                    if key not in classes:
+                        read = walk + tuple(v for v in range(c.n) if v not in walk)
+                        classes[key] = TermOrder(kind, read[::-1] if keep else read)
+                    continue
+                while split:
+                    bit = split & -split
+                    split ^= bit
+                    want = bit if keep else 0
+                    child = tuple(tuple(m for m in members if m & bit == want) if s & bit
+                                  else members for members, s in zip(sets, splits))
+                    if child not in seen:
+                        seen.add(child)
+                        visited += 1
+                        charge(visited)
+                        stack.append((child, walk + (bit.bit_length() - 1,)))
+        return classes
+
+    charge(1)
+    return _union_by_class(c, classes_of)
+
+
+def _union_by_class(c: Code, classes_of) -> MonomialIdeal:
+    """The union of the test sets of one reduced basis per class of orders.
+
+    The reduced basis depends only on its standard monomials, the coset
+    leaders, and every degree-compatible order takes its leaders among the
+    minimum-weight members of each coset.  So a class of orders (a cone
+    of the Groebner fan) is fixed by the member it picks in each tied
+    coset, one with more than one.  classes_of maps the tied cosets'
+    members to {key: one order of that class}, a key naming the member
+    picked in each tied coset.  Each order's basis is built, and
+    TheoremViolation is raised unless its leaders are the members its key
+    names.
+    """
     minima = coset_minima(c)
     tied = {syn: members for syn, members in minima.items() if len(members) > 1}
-    classes: dict[tuple[int, ...], TermOrder] = {}
-    for o in orders:
-        key = ()
-        if tied:
-            # A copy of o picks the members, so that the caller's list does
-            # not keep a sort-key weight table alive for every order.
-            key = tuple(map(TermOrder(o.kind, o.priority).min_word, tied.values()))
-        classes.setdefault(key, o)
     leaders = {syn: members[0] for syn, members in minima.items()}
     union: set[int] = set()
-    for key, o in classes.items():
+    for key, o in classes_of(tuple(tied.values())).items():
         basis, table = reduced_groebner_basis(c, o)
         if table.leaders != leaders | dict(zip(tied, key)):
             raise TheoremViolation(

@@ -30,11 +30,6 @@ from .io import (
 # never evaluated; the commands import what they call.
 
 
-# Longest code for --all-orders.  The union builds one basis per class of
-# orders, so above n = 9 the cost is the list itself: 2 * 10! orders, 1.6 GB.
-_ALL_ORDERS_MAX_N = 9
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; keep that for caps
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -177,25 +172,31 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         ideal = ideal_from_supports(code.n, words)
         result["testset_size"] = len(words)
     else:
-        from .analysis import all_priority_orders, sample_orders, union_testsets
+        from .analysis import sample_orders, union_all_orders, union_testsets
 
         if args.use_order:
             orders = [_parse_order_spec(s, code.n) for s in args.use_order]
             params["orders"] = [_order_params(o) for o in orders]
         elif args.all_orders or (code.n <= 7 and not args.sample_orders):
-            if code.n > _ALL_ORDERS_MAX_N:
-                raise CapExceeded(
-                    f"--all-orders at n={code.n} means listing 2*{code.n}! orders; "
-                    f"above n={_ALL_ORDERS_MAX_N} use --sample-orders N or --use-order")
-            orders = list(all_priority_orders(code.n))
+            orders = None  # every order, never listed
             params["orders"] = "all-permutations"
         else:
             count = args.sample_orders or 200
             orders = sample_orders(code.n, count, args.seed)
             params["orders"] = f"sampled:{count}"
             params["seed"] = args.seed
-        params["order_count"] = len(orders)
-        ideal = union_testsets(code, orders)
+        if orders is None:
+            import math
+
+            params["order_count"] = 2 * math.factorial(code.n)
+            try:
+                ideal = union_all_orders(code)
+            except CapExceeded as exc:
+                raise CapExceeded(
+                    f"--all-orders: {exc}; use --sample-orders N or --use-order") from None
+        else:
+            params["order_count"] = len(orders)
+            ideal = union_testsets(code, orders)
         result["union_size"] = len(ideal.gens)
     table = (circuit_betti_table(code) if args.ideal == "stanley-reisner"
              else betti_table_hochster(ideal))

@@ -18,6 +18,7 @@ minimum-weight member of each coset, the leaders any order can pick.
 from __future__ import annotations
 
 from functools import cached_property
+from types import MappingProxyType
 
 from .codes import Code
 from .errors import TheoremViolation
@@ -130,10 +131,10 @@ class GroebnerBasis(Frozen):
 class CosetTable(Frozen):
     """Syndrome -> canonical coset leader, one entry per coset.
 
-    Leaders are the order-minimal (hence minimum-weight) coset elements;
-    the zero syndrome maps to 0.  Syndromes are keyed by the canonical
-    rref parity matrix, so the partition is independent of the generator
-    presentation.
+    Leaders are the order-minimal (hence minimum-weight) coset elements,
+    in a read-only view; the zero syndrome maps to 0.  Syndromes are keyed
+    by the canonical rref parity matrix, so the partition is independent of
+    the generator presentation.
     """
 
     _fields = ("parity", "leaders")
@@ -201,7 +202,7 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
         raise TheoremViolation(
             f"found {len(leaders)} coset leaders, expected 2^{c.n - c.k}")
     basis = GroebnerBasis(order, c.n, tuple(binomials), tuple(violations))
-    table = CosetTable(c.parity, leaders)
+    table = CosetTable(c.parity, MappingProxyType(leaders))
     return basis, table
 
 

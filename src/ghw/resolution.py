@@ -45,6 +45,8 @@ homology there.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .errors import (SIZE_CAP, CapExceeded, EmptyAmbient, LengthCapExceeded, TheoremViolation,
                      TooFewGenerators)
 from .gf2 import (_BLOCK_BITS, Frozen, _levels, _ones, _or_closure, inclusion_minimal,
@@ -65,7 +67,8 @@ class MonomialIdeal(Frozen):
 
 
 class BettiTable(Frozen):
-    """Sparse graded Betti numbers: entries[(i, j)] = beta_{i,j} > 0."""
+    """Sparse graded Betti numbers: entries[(i, j)] = beta_{i,j} > 0, a
+    read-only view of a copy of the given dict."""
 
     _fields = ("entries",)
 
@@ -73,7 +76,7 @@ class BettiTable(Frozen):
         for (i, j), beta in entries.items():
             if beta <= 0:
                 raise ValueError(f"nonpositive count at ({i}, {j})")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
 
     @property
     def pd(self) -> int:

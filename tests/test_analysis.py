@@ -25,12 +25,14 @@ from ghw import (
     reduced_groebner_basis,
     sample_orders,
     second_weight_witness,
+    union_all_orders,
     union_testsets,
     verify_code,
     word_from_string,
     word_to_string,
 )
 from ghw.analysis import check_symmetric_difference_lemma, symmetric_difference_triple
+from ghw.gf2 import kernel_basis
 from ghw.codes import ghw_via_resolution
 from ghw.groebner import test_set as extract_testset
 from ghw.resolution import BettiTable
@@ -246,7 +248,7 @@ def test_verify_degenerate_code_reports_without_abort():
 def test_search_zero_trials():
     report = counterexample_search(6, 3, trials=0, seed=1)
     assert report.evaluated == 0
-    assert report.flagged == []
+    assert report.flagged == ()
 
 
 def test_search_flags_injected_counterexample(code107):
@@ -330,15 +332,15 @@ def test_multi_order_search_matches_per_order_verify(n, k, seed, order_count):
             if not res.full_agreement:
                 flagged.append({
                     "trial": f"random:{t}",
-                    "matrix": [" ".join(row) for row in code.generator.row_strings()],
+                    "matrix": tuple(" ".join(row) for row in code.generator.row_strings()),
                     "order": o.describe(),
-                    "ghw": list(res.ghw),
-                    "minshift_testset": list(res.minshift_testset),
+                    "ghw": res.ghw,
+                    "minshift_testset": res.minshift_testset,
                     "pd_testset": res.pd_testset,
                     "k": code.k,
                     "exact_through_i3": res.exact_through_i3,
                 })
-    assert report.flagged == flagged
+    assert report.flagged == tuple(flagged)
     assert report.exactness_i3_failures == i3_failures
 
 
@@ -438,6 +440,111 @@ def test_union_testsets_refuses_leaders_off_the_minima(toy63, monkeypatch):
     monkeypatch.setattr(analysis, "coset_minima", hide_first_pick)
     with pytest.raises(TheoremViolation, match="coset leaders"):
         union_testsets(toy63, orders)
+
+
+@st.composite
+def short_codes(draw):
+    """A code of length n <= 7: random rows, some with a column cleared
+    (degenerate) or a weight-1 word added, or a code of dimension 1 or
+    n - 1 (the kernel of one nonzero check row)."""
+    n = draw(st.integers(4, 7))
+    shape = draw(st.sampled_from(("rows", "rows", "k=1", "k=n-1")))
+    if shape == "k=n-1":
+        check = BinaryMatrix((draw(st.integers(1, (1 << n) - 1)),), n)
+        return Code.from_generator(kernel_basis(check))
+    if shape == "k=1":
+        rows = [draw(st.integers(1, (1 << n) - 1))]
+    else:
+        rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=n - 1))
+        dead = draw(st.sampled_from((0, 1 << (n - 1))))
+        rows = [r & ~dead for r in rows]
+        unit = draw(st.none() | st.integers(0, n - 1))
+        if unit is not None:
+            rows.append(1 << unit)
+    assume(any(rows))
+    return Code.from_generator(BinaryMatrix(tuple(rows), n))
+
+
+def class_keys(c, orders):
+    """The member each order picks in each tied coset of c: the key of
+    its class, one per order."""
+    tied = [m for m in coset_minima(c).values() if len(m) > 1]
+    return [tuple(o.min_word(m) for m in tied) for o in orders]
+
+
+@settings(max_examples=30, deadline=None)
+@given(short_codes())
+def test_union_all_orders_finds_the_classes_of_the_listed_orders(case):
+    """The search builds one basis per class of the 2 * n! listed orders,
+    its order picks the key of that class, and the union is the union of
+    the test sets of every order: one basis per order up to n = 6, and
+    one per listed class (union_testsets) at n = 7, where 10,080 bases
+    would take a second per code."""
+    code = case
+    orders = list(all_priority_orders(code.n))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = count_bases(monkeypatch)
+        ideal = union_all_orders(code)
+    keys = class_keys(code, calls)
+    assert len(set(keys)) == len(keys)
+    assert set(keys) == set(class_keys(code, orders))
+    oracle = per_order_union if code.n <= 6 else union_testsets
+    assert ideal == oracle(code, orders)
+
+
+def test_union_all_orders_fixture_classes(hamming74, toy63, monkeypatch):
+    """One basis for the perfect Hamming [7,4] code, 8 for the toy [6,3]
+    code: as many as listing the orders finds."""
+    hamming = union_testsets(hamming74, [TermOrder.default(7)])
+    toy = union_testsets(toy63, list(all_priority_orders(6)))
+    calls = count_bases(monkeypatch)
+    assert union_all_orders(hamming74) == hamming
+    assert len(calls) == 1
+    calls.clear()
+    assert union_all_orders(toy63) == toy
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("n, k, seed", [(8, 4, 1), (8, 5, 2), (9, 4, 3), (9, 6, 4),
+                                        (10, 5, 5), (10, 7, 6)])
+def test_union_all_orders_holds_every_sampled_union(n, k, seed):
+    """Above n = 7 listing the orders is too slow for an oracle; every
+    test-set word of 200 sampled orders is in the all-orders union."""
+    code = random_code(random.Random(seed), n, k)
+    full = set(union_all_orders(code).gens)
+    sampled = union_testsets(code, sample_orders(n, 200, seed))
+    assert set(sampled.gens) <= full
+
+
+def test_union_all_orders_refuses_leaders_off_the_minima(toy63, monkeypatch):
+    """With one member left in each tied coset, one the first order of
+    the search (deglex 1,2,...,n, its walk empty) does not pick, the
+    search finds one class, and that order's leaders are unlike its key."""
+    import ghw.analysis as analysis
+
+    first = TermOrder("deglex", tuple(range(6)))
+
+    def keep_one_unpicked(c):
+        return {syn: members[:1] if len(members) == 1 else
+                (next(m for m in members if m != first.min_word(members)),)
+                for syn, members in coset_minima(c).items()}
+
+    monkeypatch.setattr(analysis, "coset_minima", keep_one_unpicked)
+    with pytest.raises(TheoremViolation, match="coset leaders of deglex vars=1,2,3,4,5,6"):
+        union_all_orders(toy63)
+
+
+def test_union_all_orders_refused_past_the_budget_before_any_basis(monkeypatch):
+    """The [10,7] code's search visits 16 states or more, 8 cosets each:
+    a budget of 127 refuses it, and no basis is built."""
+    import ghw.analysis as analysis
+
+    code = make_code(kc.CODE107_ROWS)
+    calls = count_bases(monkeypatch)
+    monkeypatch.setattr(analysis, "FAN_BUDGET", 127)
+    with pytest.raises(CapExceeded, match="states of 8 cosets"):
+        union_all_orders(code)
+    assert calls == []
 
 
 def minimum_weight_words(code):

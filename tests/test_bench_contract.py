@@ -19,6 +19,7 @@ JOBS = [
     ("ghw", TOY, "--route", "resolution"),
     ("betti", TOY, "--ideal", "union-testsets",
      "--use-order", "degrevlex:1,2,3,4,5,6", "--use-order", "deglex:6,5,4,3,2,1"),
+    ("betti", TOY, "--ideal", "union-testsets", "--all-orders"),
     ("gb", REP31),
     ("decode", REP31, "110"),
     ("search", "--n", "6", "--k", "3", "--trials", "2", "--seed", "1"),

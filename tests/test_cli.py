@@ -416,13 +416,34 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     assert "Traceback" not in err
 
 
-def test_cli_all_orders_refused_above_n9(capsys):
-    """2 * 10! orders would take gigabytes before the first basis."""
-    rc, out, err = run_cli(capsys, "betti", C107, "--ideal", "union-testsets",
+def test_cli_all_orders_refused_past_the_fan_budget(tmp_path, capsys):
+    """The Groebner-fan search of a seeded [14,7] code passes 16,384
+    states of 128 cosets: the union is refused before any basis, with
+    the flags that still run it."""
+    code = random_code(random.Random(14), 14, 7)
+    path = tmp_path / "random14_7.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "betti", str(path), "--ideal", "union-testsets",
                            "--all-orders")
+    assert time.perf_counter() - start < 5
     assert rc == 2
     assert out == ""
+    assert "states of 128 cosets" in err
     assert "--sample-orders" in err and "--use-order" in err
+    assert "Traceback" not in err
+
+
+def test_cli_all_orders_above_n9_holds_the_sampled_union(capsys):
+    """code107 has n = 10: all 2 * 10! orders make 48 classes, and their
+    union holds the union of 50 sampled orders."""
+    full = run_json(capsys, "betti", C107, "--ideal", "union-testsets", "--all-orders")
+    sampled = run_json(capsys, "betti", C107, "--ideal", "union-testsets",
+                       "--sample-orders", "50")
+    assert full["params"]["orders"] == "all-permutations"
+    assert full["params"]["order_count"] == 2 * 3_628_800
+    assert set(sampled["result"]["generators"]) <= set(full["result"]["generators"])
+    assert full["result"]["union_size"] == len(full["result"]["generators"])
 
 
 def test_cli_search_length_above_cap(capsys):

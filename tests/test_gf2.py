@@ -1,6 +1,7 @@
 import inspect
 import random
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -303,12 +304,20 @@ _FROZEN = {
     "WitnessPair": (lambda: second_weight_witness(_toy63(), TermOrder.default(6)), "m1"),
     "BettiTable": (lambda: BettiTable({(0, 0): 1, (1, 2): 3}), "entries"),
     "VerificationReport": (lambda: verify_code(_toy63(), TermOrder.default(6)), "checks"),
-    "SearchReport": (lambda: counterexample_search(6, 3, trials=2, seed=1), "evaluated"),
+    "SearchReport": (lambda: counterexample_search(
+        10, 7, trials=0, seed=1, inject=(BinaryMatrix.from_strings(kc.CODE107_ROWS),)),
+        "evaluated"),
 }
 
-# The values holding a dict or a list: they hash by their fields, so like
-# a dict or a list they are unhashable.  The README names them.
+# The values holding a read-only dict view (a SearchReport once it flags a
+# code, as the one above does): they hash by their fields, so like the view
+# they are unhashable.  The README names them.
 _UNHASHABLE = ("BettiTable", "CosetTable", "SearchReport", "VerificationReport")
+
+
+def holds_view(value) -> bool:
+    return isinstance(value, MappingProxyType) or (
+        isinstance(value, tuple) and any(isinstance(x, MappingProxyType) for x in value))
 
 
 @pytest.mark.parametrize("name", sorted(_FROZEN))
@@ -324,7 +333,7 @@ def test_frozen_values_refuse_assignment_and_compare_by_fields(name):
     with pytest.raises(AttributeError):
         a.not_a_field = 1
     assert getattr(a, field) == getattr(b, field)
-    holds_container = any(isinstance(value, (dict, list)) for value in a._astuple())
+    holds_container = any(map(holds_view, a._astuple()))
     assert holds_container == (name in _UNHASHABLE)
     if holds_container:
         with pytest.raises(TypeError):
@@ -342,8 +351,31 @@ def test_every_public_value_is_frozen():
     assert all(issubclass(getattr(ghw, name), Frozen) for name in values)
     readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
     assert "All public values are immutable once constructed:" in readme
-    named = ", ".join(f"`{name}`" for name in _UNHASHABLE[:-1]) + f" and `{_UNHASHABLE[-1]}`"
-    assert f"{named}, which hold a dict or a list, are not hashable" in readme
+    assert ("`BettiTable`, `CosetTable` and `VerificationReport`, and a `SearchReport` "
+            "that flagged a code, are not hashable") in readme
+
+
+def test_frozen_values_refuse_writes_through_their_dicts():
+    """A value's dicts are read-only views (of a copy, where the caller
+    keeps the dict), and a search's flagged entries are a tuple of them."""
+    given = {(0, 0): 1}
+    betti = BettiTable(given)
+    given[(1, 2)] = 0
+    assert betti.entries == {(0, 0): 1} and betti.pd == 0
+    leaders = _FROZEN["CosetTable"][0]().leaders
+    checks = _FROZEN["VerificationReport"][0]().checks
+    flagged = _FROZEN["SearchReport"][0]().flagged
+    assert isinstance(flagged, tuple) and len(flagged) == 1
+    for view, key in ((betti.entries, (1, 2)), (leaders, 0), (checks, "standard_form"),
+                      (flagged[0], "k")):
+        with pytest.raises(TypeError):
+            view[key] = 0
+        with pytest.raises(TypeError):
+            del view[key]
+    with pytest.raises(TypeError):
+        flagged[0] = {}
+    assert all(isinstance(flagged[0][name], tuple) for name in ("matrix", "ghw",
+                                                                  "minshift_testset"))
 
 
 def test_value_classes_declare_their_fields_once():
