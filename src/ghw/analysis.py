@@ -184,6 +184,7 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
             facts = _code_facts(c, audit)
         d, minimal_set, table_full, minshift_full = facts
 
+        agreement = tuple(i < pd_ts and minshift_ts[i] == d[i] for i in range(c.k))
         checks: dict[str, bool] = {}
         checks["testset_subset_minimal_supports"] = all(w in minimal_set for w in words)
         checks["testset_contains_d1_word"] = min(w.bit_count() for w in words) == d[0]
@@ -203,22 +204,14 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
             checks["d2_from_pairs"] = min_pair_union(words) == d[1]
 
         checks["pd_testset_at_most_k"] = pd_ts <= c.k
-        checks["shifts_bound_ghw"] = all(
-            d[i - 1] <= j for i, j in zip(range(1, pd_ts + 1), minshift_ts))
-        checks["exact_at_i1"] = len(minshift_ts) >= 1 and minshift_ts[0] == d[0]
+        checks["shifts_bound_ghw"] = all(a <= j for a, j in zip(d, minshift_ts))
+        checks["exact_at_i1"] = agreement[0]
         if c.k >= 2:
-            checks["exact_at_i2"] = len(minshift_ts) >= 2 and minshift_ts[1] == d[1]
+            checks["exact_at_i2"] = agreement[1]
         checks["circuit_ideal_minshifts_are_ghw"] = (
             minshift_full == d and table_full.pd == c.k)
         checks["hierarchy_shape"] = True  # enforced by GhwSequence construction
         checks["symmetric_difference_lemma"] = True  # run by the caller
-
-        agreement = tuple(
-            i <= len(minshift_ts) and minshift_ts[i - 1] == d[i - 1]
-            for i in range(1, c.k + 1))
-        exact_i3 = None
-        if c.k >= 3:
-            exact_i3 = agreement[2]
 
         report = VerificationReport(
             n=c.n,
@@ -236,7 +229,7 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
             witness_m2=witness_m2,
             checks=MappingProxyType(checks),
             agreement_by_index=agreement,
-            exact_through_i3=exact_i3,
+            exact_through_i3=agreement[2] if c.k >= 3 else None,
             full_agreement=all(agreement),
             pd_equals_k=pd_ts == c.k,
         )

@@ -326,14 +326,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal",
                    choices=("stanley-reisner", "testset", "union-testsets"),
                    default="stanley-reisner")
-    p.add_argument("--all-orders", action="store_true",
-                   help="union over every deglex/degrevlex priority "
-                        "permutation (default when n <= 7)")
-    p.add_argument("--sample-orders", type=_int_at_least(1), default=0,
-                   metavar="N",
-                   help="union over N seeded random orders (default above n=7: 200)")
-    p.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
-                   help="explicit order for the union, repeatable")
+    source = p.add_mutually_exclusive_group()  # one source of orders for the union
+    source.add_argument("--all-orders", action="store_true",
+                        help="union over every deglex/degrevlex priority "
+                             "permutation (default when n <= 7)")
+    source.add_argument("--sample-orders", type=_int_at_least(1), default=0,
+                        metavar="N",
+                        help="union over N seeded random orders (default above n=7: 200)")
+    source.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
+                        help="explicit order for the union, repeatable")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_betti)
 

@@ -39,7 +39,7 @@ j' < j: beta_{i,j} != 0 forces beta_{i-1,j'} != 0.  Hence m_1 < m_2 < ...
 fill the degrees 1..pd with no gap, and pd is their count.  Swept by
 ascending |W| = j with t shifts found, only degree t + 1 can first
 appear at size j, at one cell level s = j - t - 1; hochster_min_shifts
-walks the lattice that way and stops at the first W of each size with
+walks the lattice that way and skips the rest of a size once one W has
 homology there.
 """
 
@@ -142,8 +142,8 @@ def _own_table(w: int, gens) -> list[int]:
 
 
 def _lcm_lattice(gens) -> set[int]:
-    """Every union of generator supports, the empty set included;
-    CapExceeded once the sum of 2^(|W|-1) over it passes MASK_BUDGET."""
+    """Every nonempty union of generator supports; CapExceeded once the
+    sum of 2^(|W|-1) over it passes MASK_BUDGET."""
     lcms = {0}
     masks = 0
     for g in gens:
@@ -155,6 +155,9 @@ def _lcm_lattice(gens) -> set[int]:
                 f"Hochster sweep needs at least {masks:.2e} submask visits "
                 f"(budget {MASK_BUDGET:.2e} = 2^{MASK_BUDGET.bit_length() - 1})")
         lcms |= grown
+    # Discarded in place, so the other sets keep the set's own iteration
+    # order; the targeted sweep visits its ties in that order.
+    lcms.discard(0)
     return lcms
 
 
@@ -363,20 +366,17 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
     """Graded Betti table of R/I over GF(2) from homology of restricted
     complexes.
 
-    The sum runs over the lcm lattice of the generators, the empty set
-    included (it gives beta_{0,0} = 1 unless the ideal is the whole
-    ring).  A lattice whose sum of 2^(|W|-1) passes MASK_BUDGET
+    The sum runs over the lcm lattice of the generators and the empty set,
+    which gives beta_{0,0} = 1 unless the ideal is the whole ring.  A lattice whose sum of 2^(|W|-1) passes MASK_BUDGET
     raises CapExceeded before any homology is computed.  audit takes the
     ranks of every set touched and re-checks them, the Euler
     characteristics and the Morse certificate, and that the minimal
     shifts rise through the degrees 1..pd with no gap.
     """
-    lcms = _lcm_lattice(ideal.gens)
     table: dict[tuple[int, int], int] = {}
     if 0 not in ideal.gens:  # W = {}: the empty face, unless the ideal is (1)
         table[(0, 0)] = 1
-    lcms.discard(0)
-    for w in lcms:
+    for w in _lcm_lattice(ideal.gens):
         j = w.bit_count()
         for s, h in enumerate(_relative_homology(w, ideal.gens, audit)):
             if h:
@@ -397,7 +397,7 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
     """The minimal shifts of the Betti table of R/I, one per homological
     degree 1..pd, without the rest of the table.
 
-    The lcm lattice is swept by ascending size j.  With t shifts found,
+    The lcm lattice is swept once, by ascending size j.  With t shifts found,
     only degree t + 1 can first appear at size j (see the module
     docstring), that is the homology at cell level s = j - t - 1, and
     the first W of size j where it is nonzero settles the shift.  A W
@@ -406,10 +406,6 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
     audit also builds the audited full table and raises TheoremViolation
     unless its minimal shifts are these.
     """
-    by_size: dict[int, list[int]] = {}
-    for w in _lcm_lattice(ideal.gens):
-        if w:
-            by_size.setdefault(w.bit_count(), []).append(w)
     # holders[v] has bit i set iff generator i holds vertex v: the
     # generators inside W are those that no vertex outside W holds.
     holders = [0] * ideal.n
@@ -428,19 +424,20 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
             m ^= low
         return len(ideal.gens) - out.bit_count()
 
+    # beta_{t+1,W} is at most the number of (t+1)-sets of generators inside
+    # W (Taylor): within a size the sets holding the most generators go
+    # first, and none holding t or fewer can add degree t + 1.  The key is
+    # (size, -held) packed in one int, which costs less memory than a tuple
+    # per set; the sort is stable, so ties keep the lattice set's own order.
+    held = {w: inside(w) for w in _lcm_lattice(ideal.gens)}
+    weight = len(ideal.gens) + 1
     shifts: list[int] = []
-    for j in sorted(by_size):
-        t = len(shifts)
-        # beta_{t+1,W} is at most the number of (t+1)-sets of generators
-        # inside W (Taylor): the sets holding the most generators go first,
-        # and none holding t or fewer can add degree t + 1.
-        held = {w: inside(w) for w in by_size[j]}
-        for w in sorted(by_size[j], key=lambda w: -held[w]):
-            if held[w] <= t:
-                break
-            if _relative_homology(w, ideal.gens, False, j - t - 1, j - t - 1)[0]:
-                shifts.append(j)
-                break
+    for w in sorted(held, key=lambda w: w.bit_count() * weight - held[w]):
+        j, t = w.bit_count(), len(shifts)
+        if held[w] <= t or (t and shifts[-1] == j):
+            continue  # Taylor's bound, or size j has given its degree
+        if _relative_homology(w, ideal.gens, False, j - t - 1, j - t - 1)[0]:
+            shifts.append(j)
     if audit:
         full = betti_table_hochster(ideal, audit=True)
         if min_shifts(full) != tuple(shifts) or full.pd != len(shifts):

@@ -416,6 +416,22 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("first, second", [
+    (("--all-orders",), ("--sample-orders", "5")),
+    (("--all-orders",), ("--use-order", "degrevlex:1,2,3,4,5,6")),
+    (("--sample-orders", "5"), ("--use-order", "degrevlex:1,2,3,4,5,6")),
+])
+def test_cli_union_takes_one_source_of_orders(capsys, first, second):
+    """Two sources of orders for one union are refused, not one of them
+    silently dropped."""
+    rc, out, err = run_cli(capsys, "betti", TOY, "--ideal", "union-testsets",
+                           *first, *second)
+    assert rc == 1
+    assert out == ""
+    assert first[0] in err and second[0] in err
+    assert "Traceback" not in err
+
+
 def test_cli_all_orders_refused_past_the_fan_budget(tmp_path, capsys):
     """The Groebner-fan search of a seeded [14,7] code passes 16,384
     states of 128 cosets: the union is refused before any basis, with

@@ -564,6 +564,46 @@ def test_targeted_sweep_matches_full_table(ideal):
     assert hochster_min_shifts(ideal, audit=True) == shifts
 
 
+@settings(max_examples=200, deadline=None)
+@given(generator_families())
+@example(ideal_from_supports(6, [mask(1, 2), mask(3, 4), mask(5, 6)]))
+@example(ideal_from_supports(7, [mask(4, 5), mask(3, 7), mask(3, 6), mask(2, 6),
+                                 mask(2, 5)]))  # two sets of size 5 hold 4 generators, above t = 3
+@example(ideal_from_supports(7, [mask(4, 6, 7), mask(2, 3), mask(1, 6), mask(1, 3),
+                                 mask(1, 2, 4)]))  # size 5 has sets holding 3 and 4, above t = 2
+def test_targeted_sweep_walks_by_size_then_most_generators(ideal):
+    """The kernel calls of the targeted sweep: sizes never fall, within a
+    size the generators inside never rise, no set holding t generators or
+    fewer is computed with t shifts found, a size that gave a shift is
+    left, and each call asks for the one level j - t - 1."""
+    calls = []
+    kernel = _relative_homology
+
+    def recorded(w, gens, audit, lo=0, hi=None):
+        h = kernel(w, gens, audit, lo, hi)
+        calls.append((w, lo, hi, h))
+        return h
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(resolution, "_relative_homology", recorded)
+        shifts = hochster_min_shifts(ideal)
+    assert shifts == min_shifts(betti_table_hochster(ideal))
+    found: list[int] = []
+    last = (0, 0)  # (size, -generators inside) of the previous call
+    for w, lo, hi, h in calls:
+        j = w.bit_count()
+        held = sum(g & w == g for g in ideal.gens)
+        t = len(found)
+        assert (j, -held) >= last
+        assert held > t
+        assert not found or found[-1] != j
+        assert lo == hi == j - t - 1
+        if h[0]:
+            found.append(j)
+        last = (j, -held)
+    assert tuple(found) == shifts
+
+
 @settings(max_examples=60, deadline=None)
 @given(generator_families(), st.data())
 def test_relative_homology_window_is_a_slice_of_the_whole(ideal, data):
