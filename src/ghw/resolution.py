@@ -367,11 +367,12 @@ def betti_table_hochster(ideal: MonomialIdeal, audit: bool = False) -> BettiTabl
     complexes.
 
     The sum runs over the lcm lattice of the generators and the empty set,
-    which gives beta_{0,0} = 1 unless the ideal is the whole ring.  A lattice whose sum of 2^(|W|-1) passes MASK_BUDGET
-    raises CapExceeded before any homology is computed.  audit takes the
-    ranks of every set touched and re-checks them, the Euler
-    characteristics and the Morse certificate, and that the minimal
-    shifts rise through the degrees 1..pd with no gap.
+    which gives beta_{0,0} = 1 unless the ideal is the whole ring.  A
+    lattice whose sum of 2^(|W|-1) passes MASK_BUDGET raises CapExceeded
+    before any homology is computed.  audit takes the ranks of every set
+    touched and re-checks them, the Euler characteristics and the Morse
+    certificate, and that the minimal shifts rise through the degrees
+    1..pd with no gap.
     """
     table: dict[tuple[int, int], int] = {}
     if 0 not in ideal.gens:  # W = {}: the empty face, unless the ideal is (1)
