@@ -156,7 +156,16 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     from .gf2 import word_to_string
     from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence
 
+    if args.ideal != "union-testsets" and (args.all_orders or args.sample_orders
+                                           or args.use_order):
+        raise GhwError("--all-orders, --sample-orders and --use-order need --ideal union-testsets")
+    if args.ideal != "testset" and args.vars is not None:
+        raise GhwError("--vars needs --ideal testset")
     code = _load_code(args.matrix)
+    sampled = (args.ideal == "union-testsets" and not (args.use_order or args.all_orders)
+               and (code.n > 7 or args.sample_orders))
+    if args.seed is not None and not sampled:
+        raise GhwError("--seed needs sampled orders (union-testsets, --sample-orders or n > 7)")
     params = {"matrix": args.matrix, "ideal": args.ideal}
     result: dict = {"ideal": args.ideal}
     if args.ideal == "stanley-reisner":
@@ -177,14 +186,14 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         if args.use_order:
             orders = [_parse_order_spec(s, code.n) for s in args.use_order]
             params["orders"] = [_order_params(o) for o in orders]
-        elif args.all_orders or (code.n <= 7 and not args.sample_orders):
+        elif sampled:
+            count = args.sample_orders or 200
+            params["orders"] = f"sampled:{count}"
+            params["seed"] = args.seed or 0
+            orders = sample_orders(code.n, count, params["seed"])
+        else:
             orders = None  # every order, never listed
             params["orders"] = "all-permutations"
-        else:
-            count = args.sample_orders or 200
-            orders = sample_orders(code.n, count, args.seed)
-            params["orders"] = f"sampled:{count}"
-            params["seed"] = args.seed
         if orders is None:
             import math
 
@@ -335,7 +344,7 @@ def make_parser() -> argparse.ArgumentParser:
                         help="union over N seeded random orders (default above n=7: 200)")
     source.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
                         help="explicit order for the union, repeatable")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)  # None: 0, and only for sampled orders
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("gb", parents=[common], help="reduced Groebner basis and test set")

@@ -41,6 +41,17 @@ ascending |W| = j with t shifts found, only degree t + 1 can first
 appear at size j, at one cell level s = j - t - 1; hochster_min_shifts
 walks the lattice that way and skips the rest of a size once one W has
 homology there.
+
+Most sets need no homology at all: beta_{i,W} = 0 when the generators
+inside W have GF(2) rank below i.  Order the generators.  Lyubeznik's
+resolution (1988), a Morse reduction of Taylor's (Batzies and Welker
+2002), has one basis element, in degree lcm(S), for each set
+S = {s_1 < ... < s_k} of generators in which no generator below s_t
+divides lcm(s_t, ..., s_k), for every t.  A GF(2)-dependent S holds some
+T = {t_1 < ... < t_p} whose supports sum to zero, so each vertex of t_1
+lies in another member of T: t_1 divides lcm(t_2, ..., t_p), hence the
+lcm of S's tail from t_2, and S gets no basis element.  The sets that do
+are independent, so none with lcm W has more than rank(G_W) members.
 """
 
 from __future__ import annotations
@@ -398,46 +409,25 @@ def hochster_min_shifts(ideal: MonomialIdeal, audit: bool = False) -> tuple[int,
     """The minimal shifts of the Betti table of R/I, one per homological
     degree 1..pd, without the rest of the table.
 
-    The lcm lattice is swept once, by ascending size j.  With t shifts found,
-    only degree t + 1 can first appear at size j (see the module
-    docstring), that is the homology at cell level s = j - t - 1, and
-    the first W of size j where it is nonzero settles the shift.  A W
-    that holds t generators or fewer cannot have it (Taylor's bound), so
-    the sweep never computes one.  The same MASK_BUDGET refusal applies.
+    The lcm lattice is swept once, by ascending size j.  With t shifts
+    found, only degree t + 1 can first appear at size j, at cell level
+    s = j - t - 1, and only in a W whose generators have rank above t (see
+    the module docstring): the first such W where it is nonzero settles
+    the shift, and the sweep stops once t is the rank of all the
+    generators.  The same MASK_BUDGET refusal applies.
     audit also builds the audited full table and raises TheoremViolation
     unless its minimal shifts are these.
     """
-    # holders[v] has bit i set iff generator i holds vertex v: the
-    # generators inside W are those that no vertex outside W holds.
-    holders = [0] * ideal.n
-    for i, g in enumerate(ideal.gens):
-        for v in range(ideal.n):
-            if g >> v & 1:
-                holders[v] |= 1 << i
-    every = (1 << ideal.n) - 1
-
-    def inside(w: int) -> int:
-        out = 0
-        m = every ^ w
-        while m:
-            low = m & -m
-            out |= holders[low.bit_length() - 1]
-            m ^= low
-        return len(ideal.gens) - out.bit_count()
-
-    # beta_{t+1,W} is at most the number of (t+1)-sets of generators inside
-    # W (Taylor): within a size the sets holding the most generators go
-    # first, and none holding t or fewer can add degree t + 1.  The key is
-    # (size, -held) packed in one int, which costs less memory than a tuple
-    # per set; the sort is stable, so ties keep the lattice set's own order.
-    held = {w: inside(w) for w in _lcm_lattice(ideal.gens)}
-    weight = len(ideal.gens) + 1
+    gens = ideal.gens
+    rank = rank_of_words(gens)
     shifts: list[int] = []
-    for w in sorted(held, key=lambda w: w.bit_count() * weight - held[w]):
+    for w in sorted(_lcm_lattice(gens), key=int.bit_count):
         j, t = w.bit_count(), len(shifts)
-        if held[w] <= t or (t and shifts[-1] == j):
-            continue  # Taylor's bound, or size j has given its degree
-        if _relative_homology(w, ideal.gens, False, j - t - 1, j - t - 1)[0]:
+        if t == rank:
+            break  # no W holds generators of rank above rank(G)
+        if (t and shifts[-1] == j) or rank_of_words(g for g in gens if g & w == g) <= t:
+            continue  # size j has given its degree, or beta_{t+1,W} = 0 by rank
+        if _relative_homology(w, gens, False, j - t - 1, j - t - 1)[0]:
             shifts.append(j)
     if audit:
         full = betti_table_hochster(ideal, audit=True)

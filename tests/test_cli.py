@@ -432,6 +432,38 @@ def test_cli_union_takes_one_source_of_orders(capsys, first, second):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("--ideal", "testset", "--sample-orders", "3"), "--sample-orders"),
+    (("--ideal", "testset", "--all-orders"), "--all-orders"),
+    (("--ideal", "stanley-reisner", "--use-order", "deglex:1,2,3,4,5,6", "--order", "deglex"),
+     "--use-order"),
+    (("--ideal", "stanley-reisner", "--vars", "6,5,4,3,2,1"), "--vars"),
+    (("--ideal", "union-testsets", "--all-orders", "--vars", "6,5,4,3,2,1"), "--vars"),
+    (("--ideal", "union-testsets", "--all-orders", "--seed", "9"), "--seed"),
+    (("--ideal", "union-testsets", "--seed", "9"), "--seed"),  # n = 6: every order
+    (("--ideal", "union-testsets", "--use-order", "deglex:1,2,3,4,5,6", "--seed", "0"),
+     "--seed"),
+    (("--ideal", "testset", "--seed", "9"), "--seed"),
+])
+def test_cli_betti_refuses_flags_it_would_not_use(capsys, argv, flag):
+    """A flag of an ideal or a source of orders that betti does not run
+    exits 1 with no document, rather than being dropped without a word."""
+    rc, out, err = run_cli(capsys, "betti", TOY, *argv)
+    assert rc == 1
+    assert out == ""
+    assert flag in err and " need" in err
+    assert "Traceback" not in err
+
+
+def test_cli_betti_sampled_orders_default_to_seed_zero(capsys):
+    """Without --seed, sampled orders use seed 0 and say so in params."""
+    docs = [run_json(capsys, "betti", C107, "--ideal", "union-testsets", *seed)
+            for seed in ((), ("--seed", "0"))]
+    assert docs[0]["params"]["seed"] == 0
+    assert docs[0]["params"] == docs[1]["params"]
+    assert docs[0]["result"] == docs[1]["result"]
+
+
 def test_cli_all_orders_refused_past_the_fan_budget(tmp_path, capsys):
     """The Groebner-fan search of a seeded [14,7] code passes 16,384
     states of 128 cosets: the union is refused before any basis, with

@@ -537,10 +537,10 @@ def test_betti_refused_past_the_mask_budget(monkeypatch):
 # --- the targeted sweep: minimal shifts without the full table ------------
 
 @st.composite
-def generator_families(draw):
-    """Any square-free generators on up to 10 variables, inclusions and
+def generator_families(draw, most: int = 10):
+    """Any square-free generators on up to most variables, inclusions and
     repeats allowed; some families get a single variable."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, most))
     gens = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
     if draw(st.booleans()):
         gens.append(1 << draw(st.integers(0, n - 1)))
@@ -568,14 +568,18 @@ def test_targeted_sweep_matches_full_table(ideal):
 @given(generator_families())
 @example(ideal_from_supports(6, [mask(1, 2), mask(3, 4), mask(5, 6)]))
 @example(ideal_from_supports(7, [mask(4, 5), mask(3, 7), mask(3, 6), mask(2, 6),
-                                 mask(2, 5)]))  # two sets of size 5 hold 4 generators, above t = 3
+                                 mask(2, 5)]))  # size 4 has three sets of rank 3 > t = 2
 @example(ideal_from_supports(7, [mask(4, 6, 7), mask(2, 3), mask(1, 6), mask(1, 3),
-                                 mask(1, 2, 4)]))  # size 5 has sets holding 3 and 4, above t = 2
-def test_targeted_sweep_walks_by_size_then_most_generators(ideal):
-    """The kernel calls of the targeted sweep: sizes never fall, within a
-    size the generators inside never rise, no set holding t generators or
-    fewer is computed with t shifts found, a size that gave a shift is
-    left, and each call asks for the one level j - t - 1."""
+                                 mask(1, 2, 4)]))  # size 5 has sets of rank 3 and 4 > t = 2
+@example(ideal_from_supports(5, [mask(4), mask(2, 3, 5), mask(1, 2, 5),
+                                 mask(1, 2, 3)]))  # size 4 gives a shift, then has rank 3 > t = 2
+def test_targeted_sweep_computes_only_sets_that_can_add_a_degree(ideal):
+    """The kernel calls of the targeted sweep: sizes never fall, each call
+    asks for the one level j - t - 1, no set whose generators have rank t
+    or less is computed with t shifts found, and a size that gave a shift
+    is left.  Every lattice set that the sweep did not compute, in a size
+    that gave no shift, has no homology at its level j - t - 1, by the
+    audited kernel."""
     calls = []
     kernel = _relative_homology
 
@@ -589,19 +593,38 @@ def test_targeted_sweep_walks_by_size_then_most_generators(ideal):
         shifts = hochster_min_shifts(ideal)
     assert shifts == min_shifts(betti_table_hochster(ideal))
     found: list[int] = []
-    last = (0, 0)  # (size, -generators inside) of the previous call
+    last = 0  # the size of the previous call
     for w, lo, hi, h in calls:
-        j = w.bit_count()
-        held = sum(g & w == g for g in ideal.gens)
-        t = len(found)
-        assert (j, -held) >= last
-        assert held > t
+        j, t = w.bit_count(), len(found)
+        assert j >= last
         assert not found or found[-1] != j
+        assert rank_of_words(g for g in ideal.gens if g & w == g) > t
         assert lo == hi == j - t - 1
         if h[0]:
             found.append(j)
-        last = (j, -held)
+        last = j
     assert tuple(found) == shifts
+    computed = {w for w, *_ in calls}
+    for w in resolution._lcm_lattice(ideal.gens):
+        j = w.bit_count()
+        t = sum(s < j for s in shifts)  # the shifts found before size j
+        if w not in computed and j not in shifts:
+            assert _relative_homology(w, ideal.gens, True)[j - t - 1] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(generator_families(9))
+@example(ideal_from_supports(3, [mask(1, 2), mask(1, 3), mask(2, 3)]))  # 3 generators of rank 2
+def test_homology_needs_generators_of_rank_at_least_its_degree(ideal):
+    """beta_{i,W} = 0 when the generators inside W have GF(2) rank below
+    i (resolution's module docstring): every nonzero level s of W's
+    homology has i = |W| - s at most that rank.  The hollow triangle's
+    three edges hold beta_{2,3} = 2, which Taylor's count alone would
+    allow up to degree 3."""
+    for w in resolution._lcm_lattice(ideal.gens):
+        rank = rank_of_words(g for g in ideal.gens if g & w == g)
+        for s, h in enumerate(_relative_homology(w, ideal.gens, True)):
+            assert not h or w.bit_count() - s <= rank
 
 
 @settings(max_examples=60, deadline=None)
@@ -678,12 +701,12 @@ def test_targeted_sweep_fixture_testset_shifts(fixture, shifts, kind, request):
     assert hochster_min_shifts(ideal) == shifts
 
 
-@pytest.mark.parametrize("kind, calls", [("degrevlex", 371), ("deglex", 452)])
-def test_targeted_sweep_skips_sets_holding_too_few_generators(code149, kind, calls,
-                                                              monkeypatch):
-    """With t shifts found, a set holding t generators or fewer cannot add
-    degree t + 1 (Taylor), so the [14,9] test-set sweep stops each size at
-    the first such set: this many kernel calls in all."""
+@pytest.mark.parametrize("kind, calls", [("degrevlex", 10), ("deglex", 9)])
+def test_targeted_sweep_skips_sets_of_rank_too_small(code149, kind, calls, monkeypatch):
+    """With t shifts found, a set whose generators have rank t or less
+    cannot add degree t + 1, so the [14,9] test-set sweeps, over lattices
+    of 2,227 (degrevlex) and 2,399 (deglex) sets, make this many kernel
+    calls in all."""
     basis, _ = reduced_groebner_basis(code149, TermOrder.default(14, kind))
     ideal = ideal_from_supports(14, extract_testset(basis, code149))
     kernel = _relative_homology
@@ -813,13 +836,13 @@ def test_certified_levels_are_the_homology_of_the_restriction(ideal, data, bits,
 
 @pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("kind, calls, fallbacks, reversed_fallbacks",
-                         [("degrevlex", 371, 1, 3), ("deglex", 452, 1, 5)])
+                         [("degrevlex", 10, 1, 3), ("deglex", 9, 1, 5)])
 def test_certificate_leaves_few_sets_to_the_boundary_ranks(code149, kind, calls, fallbacks,
                                                            reversed_fallbacks, descending,
                                                            monkeypatch):
-    """On the [14,9] test sets the critical cells decide all but one of the
-    targeted sweep's kernel calls; matched in descending order they leave
-    a few more to the ranks, and the shifts stay the same."""
+    """On the [14,9] test sets the critical cells decide all but at most
+    one of the targeted sweep's kernel calls; matched in descending order
+    they leave a few more to the ranks, and the shifts stay the same."""
     basis, _ = reduced_groebner_basis(code149, TermOrder.default(14, kind))
     ideal = ideal_from_supports(14, extract_testset(basis, code149))
     seen, ranked = [], []
