@@ -49,26 +49,16 @@ def _int_at_least(low: int):
     return parse
 
 
-def _term_order(args, n: int) -> TermOrder:
+def _parse_order(spec: str, n: int) -> TermOrder:
+    """An --order value: KIND, or KIND:V1,...,Vn with the variable priority
+    highest first and 1-based; a bare KIND means 1,2,...,n."""
     from .groebner import TermOrder
 
-    if args.vars is None:
-        return TermOrder.default(n, args.order)
-    try:
-        prio = tuple(int(tok) - 1 for tok in args.vars.split(","))
-    except ValueError:
-        raise GhwError(f"--vars must be comma-separated integers, got {args.vars!r}")
-    if sorted(prio) != list(range(n)):
-        raise GhwError(f"--vars must be a permutation of 1..{n}")
-    return TermOrder(args.order, prio)
-
-
-def _parse_order_spec(spec: str, n: int) -> TermOrder:
-    from .groebner import TermOrder
-
-    kind, _, vars_part = spec.partition(":")
+    kind, colon, vars_part = spec.partition(":")
     if kind not in ("deglex", "degrevlex"):
         raise GhwError(f"bad order spec {spec!r}: kind must be deglex or degrevlex")
+    if not colon:
+        return TermOrder.default(n, kind)
     try:
         prio = tuple(int(tok) - 1 for tok in vars_part.split(","))
     except ValueError:
@@ -76,6 +66,14 @@ def _parse_order_spec(spec: str, n: int) -> TermOrder:
     if sorted(prio) != list(range(n)):
         raise GhwError(f"bad order spec {spec!r}: need a permutation of 1..{n}")
     return TermOrder(kind, prio)
+
+
+def _term_order(args, n: int) -> TermOrder:
+    """The one order of a command that builds one (default degrevlex 1..n)."""
+    specs = args.order or ["degrevlex"]
+    if len(specs) > 1:
+        raise GhwError(f"--order given {len(specs)} times; {args.command} takes one order")
+    return _parse_order(specs[0], n)
 
 
 def _order_params(o: TermOrder) -> dict:
@@ -106,6 +104,8 @@ def _load_code(path: str) -> Code:
 
 
 def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
+    if args.route != "testset" and args.order:
+        raise GhwError("--order needs --route testset")
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "route": args.route}
     if args.route in ("oracle", "resolution"):
@@ -156,13 +156,15 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     from .gf2 import word_to_string
     from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence
 
-    if args.ideal != "union-testsets" and (args.all_orders or args.sample_orders
-                                           or args.use_order):
-        raise GhwError("--all-orders, --sample-orders and --use-order need --ideal union-testsets")
-    if args.ideal != "testset" and args.vars is not None:
-        raise GhwError("--vars needs --ideal testset")
+    if args.ideal != "union-testsets" and (args.all_orders or args.sample_orders):
+        raise GhwError("--all-orders and --sample-orders need --ideal union-testsets")
+    if args.ideal == "stanley-reisner" and args.order:
+        raise GhwError("--order needs --ideal testset or union-testsets")
+    if args.order and (args.all_orders or args.sample_orders):
+        raise GhwError("the union needs one source of orders: give one of --order, "
+                       "--all-orders and --sample-orders")
     code = _load_code(args.matrix)
-    sampled = (args.ideal == "union-testsets" and not (args.use_order or args.all_orders)
+    sampled = (args.ideal == "union-testsets" and not (args.order or args.all_orders)
                and (code.n > 7 or args.sample_orders))
     if args.seed is not None and not sampled:
         raise GhwError("--seed needs sampled orders (union-testsets, --sample-orders or n > 7)")
@@ -183,29 +185,27 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     else:
         from .analysis import sample_orders, union_all_orders, union_testsets
 
-        if args.use_order:
-            orders = [_parse_order_spec(s, code.n) for s in args.use_order]
-            params["orders"] = [_order_params(o) for o in orders]
-        elif sampled:
-            count = args.sample_orders or 200
-            params["orders"] = f"sampled:{count}"
-            params["seed"] = args.seed or 0
-            orders = sample_orders(code.n, count, params["seed"])
-        else:
-            orders = None  # every order, never listed
-            params["orders"] = "all-permutations"
-        if orders is None:
+        if args.order or sampled:
+            if args.order:
+                orders = [_parse_order(s, code.n) for s in args.order]
+                params["orders"] = [_order_params(o) for o in orders]
+            else:
+                count = args.sample_orders or 200
+                params["orders"] = f"sampled:{count}"
+                params["seed"] = args.seed or 0
+                orders = sample_orders(code.n, count, params["seed"])
+            params["order_count"] = len(orders)
+            ideal = union_testsets(code, orders)
+        else:  # every order, never listed
             import math
 
+            params["orders"] = "all-permutations"
             params["order_count"] = 2 * math.factorial(code.n)
             try:
                 ideal = union_all_orders(code)
             except CapExceeded as exc:
                 raise CapExceeded(
-                    f"--all-orders: {exc}; use --sample-orders N or --use-order") from None
-        else:
-            params["order_count"] = len(orders)
-            ideal = union_testsets(code, orders)
+                    f"--all-orders: {exc}; use --sample-orders N or --order") from None
         result["union_size"] = len(ideal.gens)
     table = (circuit_betti_table(code) if args.ideal == "stanley-reisner"
              else betti_table_hochster(ideal))
@@ -287,10 +287,7 @@ def _cmd_search(args) -> tuple[dict, dict | None, dict]:
         raise CapExceeded(f"--n {args.n} exceeds cap {SIZE_CAP}")
     if args.k > args.n:
         raise GhwError(f"--k must be at most --n={args.n}, got {args.k}")
-    if args.use_order:
-        orders = [_parse_order_spec(s, args.n) for s in args.use_order]
-    else:
-        orders = [_term_order(args, args.n)]
+    orders = [_parse_order(s, args.n) for s in args.order or ["degrevlex"]]
     inject = tuple(load_matrix(path) for path in args.inject or ())
     for path, matrix in zip(args.inject or (), inject):
         if matrix.ncols != args.n:
@@ -314,12 +311,11 @@ def make_parser() -> argparse.ArgumentParser:
                "blank lines and # comments ignored. Bitstrings are printed "
                "with coordinate 1 leftmost.")
     common = argparse.ArgumentParser(add_help=False)  # flags every subcommand takes
-    common.add_argument("--order", choices=("deglex", "degrevlex"),
-                        default="degrevlex",
-                        help="order kind (default: degrevlex)")
-    common.add_argument("--vars", default=None, metavar="I1,I2,...",
-                        help="variable priority, highest first, 1-based "
-                             "(default: 1,2,...,n)")
+    common.add_argument("--order", action="append", metavar="KIND[:V1,...]",
+                        help="degree-compatible order, deglex or degrevlex, with "
+                             "the variable priority highest first, 1-based "
+                             "(default: degrevlex:1,2,...,n); repeatable for "
+                             "search and the union")
     common.add_argument("-o", "--output", default=None,
                         help="write the result document here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -342,8 +338,6 @@ def make_parser() -> argparse.ArgumentParser:
     source.add_argument("--sample-orders", type=_int_at_least(1), default=0,
                         metavar="N",
                         help="union over N seeded random orders (default above n=7: 200)")
-    source.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
-                        help="explicit order for the union, repeatable")
     p.add_argument("--seed", type=int, default=None)  # None: 0, and only for sampled orders
     p.set_defaults(func=_cmd_betti)
 
@@ -367,8 +361,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_at_least(1), required=True)
     p.add_argument("--trials", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--use-order", action="append", metavar="KIND:V1,V2,...",
-                   help="order to test each sampled code under, repeatable")
     p.add_argument("--inject", action="append", metavar="FILE",
                    help="matrix file evaluated before the random stream, repeatable")
     p.set_defaults(func=_cmd_search)

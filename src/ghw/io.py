@@ -23,6 +23,7 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
     """Parse MatrixFile content; errors carry 1-based line numbers."""
     rows: list[int] = []
     ncols = None
+    line_no = 1  # an empty text reports line 1, any other its last line
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -38,7 +39,7 @@ def parse_matrix_text(text: str) -> BinaryMatrix:
                 line_no, f"row has {len(entries)} entries, expected {ncols}")
         rows.append(word_from_string("".join(entries)))
     if not rows:
-        raise MatrixParseError(0, "no matrix rows found")
+        raise MatrixParseError(line_no, "no matrix rows found")
     return BinaryMatrix(tuple(rows), ncols)
 
 

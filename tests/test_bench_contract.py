@@ -18,7 +18,7 @@ JOBS = [
     ("verify", TOY),
     ("ghw", TOY, "--route", "resolution"),
     ("betti", TOY, "--ideal", "union-testsets",
-     "--use-order", "degrevlex:1,2,3,4,5,6", "--use-order", "deglex:6,5,4,3,2,1"),
+     "--order", "degrevlex:1,2,3,4,5,6", "--order", "deglex:6,5,4,3,2,1"),
     ("betti", TOY, "--ideal", "union-testsets", "--all-orders"),
     ("gb", REP31),
     ("decode", REP31, "110"),

@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -67,8 +69,11 @@ def test_parse_matrix_error_line_numbers():
     with pytest.raises(MatrixParseError) as exc:
         parse_matrix_text("1 0\n1 0 1\n")
     assert exc.value.line_no == 2
-    with pytest.raises(MatrixParseError):
-        parse_matrix_text("# nothing\n")
+    # no rows: the last line, or line 1 of an empty text
+    for text, line_no in (("# nothing\n", 1), ("# only\n\n", 2), ("", 1)):
+        with pytest.raises(MatrixParseError) as exc:
+            parse_matrix_text(text)
+        assert exc.value.line_no == line_no
 
 
 def test_cli_ghw_oracle(capsys):
@@ -159,8 +164,8 @@ def test_cli_betti_principal_ideal_fixture(capsys):
 
 def test_cli_betti_union_explicit_orders(capsys):
     doc = run_json(capsys, "betti", TOY, "--ideal", "union-testsets",
-                   "--use-order", "degrevlex:1,2,3,4,5,6",
-                   "--use-order", "deglex:6,5,4,3,2,1")
+                   "--order", "degrevlex:1,2,3,4,5,6",
+                   "--order", "deglex:6,5,4,3,2,1")
     assert doc["params"]["order_count"] == 2
     assert doc["params"]["orders"] == [
         {"kind": "degrevlex", "vars": [1, 2, 3, 4, 5, 6]},
@@ -210,10 +215,9 @@ def test_cli_gb_worked63_contains_named_binomial(capsys):
 
 
 def test_cli_gb_order_flags_match_the_library(capsys):
-    """The README example: --vars lists the priority highest first and
+    """The README example: --order lists the priority highest first and
     1-based, so 6,5,4,3,2,1 is the library's priority (5, 4, 3, 2, 1, 0)."""
-    doc = run_json(capsys, "gb", WORKED, "--order", "degrevlex",
-                   "--vars", "6,5,4,3,2,1")
+    doc = run_json(capsys, "gb", WORKED, "--order", "degrevlex:6,5,4,3,2,1")
     code = Code.from_generator(load_matrix(WORKED))
     basis, _ = reduced_groebner_basis(code, TermOrder("degrevlex", (5, 4, 3, 2, 1, 0)))
     assert doc["params"]["order"] == {"kind": "degrevlex", "vars": [6, 5, 4, 3, 2, 1]}
@@ -227,22 +231,23 @@ def test_cli_gb_order_flags_match_the_library(capsys):
 
 
 @pytest.mark.parametrize("value, message", [
-    ("1,2,3", "--vars must be a permutation of 1..6"),
-    ("1,2,3,4,5,x", "--vars must be comma-separated integers, got '1,2,3,4,5,x'"),
+    ("degrevlex:1,2,3", "bad order spec 'degrevlex:1,2,3': need a permutation of 1..6"),
+    ("degrevlex:1,2,3,4,5,x",
+     "bad order spec 'degrevlex:1,2,3,4,5,x': variables must be integers"),
 ], ids=["not-a-permutation", "not-integers"])
 def test_cli_rejects_bad_vars(capsys, value, message):
-    rc, out, err = run_cli(capsys, "gb", WORKED, "--vars", value)
+    rc, out, err = run_cli(capsys, "gb", WORKED, "--order", value)
     assert rc == 1
     assert out == ""
     assert err == f"ghw: {message}\n"
 
 
 @pytest.mark.parametrize("argv, message", [
-    (("betti", TOY, "--ideal", "union-testsets", "--use-order", "lex:1,2,3,4,5,6"),
+    (("betti", TOY, "--ideal", "union-testsets", "--order", "lex:1,2,3,4,5,6"),
      "bad order spec 'lex:1,2,3,4,5,6': kind must be deglex or degrevlex"),
-    (("betti", TOY, "--ideal", "union-testsets", "--use-order", "deglex:a,b"),
+    (("betti", TOY, "--ideal", "union-testsets", "--order", "deglex:a,b"),
      "bad order spec 'deglex:a,b': variables must be integers"),
-    (("search", "--n", "6", "--k", "3", "--trials", "0", "--use-order", "deglex:1,2"),
+    (("search", "--n", "6", "--k", "3", "--trials", "0", "--order", "deglex:1,2"),
      "bad order spec 'deglex:1,2': need a permutation of 1..6"),
 ], ids=["bad-kind", "not-integers", "not-a-permutation"])
 def test_cli_rejects_bad_order_specs(capsys, argv, message):
@@ -355,7 +360,7 @@ def test_cli_degenerate_warning(tmp_path, capsys):
 
 def test_cli_search_explicit_order(capsys):
     doc = run_json(capsys, "search", "--n", "6", "--k", "3", "--trials", "4",
-                   "--seed", "9", "--use-order", "deglex:6,5,4,3,2,1")
+                   "--seed", "9", "--order", "deglex:6,5,4,3,2,1")
     assert doc["result"]["orders"] == ["deglex vars=6,5,4,3,2,1"]
 
 
@@ -376,6 +381,11 @@ def test_cli_exit_codes(tmp_path, capsys):
 
     rc, _, _ = run_cli(capsys, "ghw", str(tmp_path / "missing.txt"))
     assert rc == 1
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# only\n\n")
+    rc, _, err = run_cli(capsys, "gb", str(empty))
+    assert rc == 1 and err == "ghw: line 2: no matrix rows found\n"
 
     wide = tmp_path / "wide25.txt"
     wide.write_text(" ".join("1" * 25) + "\n")
@@ -418,8 +428,8 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
 
 @pytest.mark.parametrize("first, second", [
     (("--all-orders",), ("--sample-orders", "5")),
-    (("--all-orders",), ("--use-order", "degrevlex:1,2,3,4,5,6")),
-    (("--sample-orders", "5"), ("--use-order", "degrevlex:1,2,3,4,5,6")),
+    (("--all-orders",), ("--order", "degrevlex:1,2,3,4,5,6")),
+    (("--sample-orders", "5"), ("--order", "degrevlex:1,2,3,4,5,6")),
 ])
 def test_cli_union_takes_one_source_of_orders(capsys, first, second):
     """Two sources of orders for one union are refused, not one of them
@@ -435,13 +445,13 @@ def test_cli_union_takes_one_source_of_orders(capsys, first, second):
 @pytest.mark.parametrize("argv, flag", [
     (("--ideal", "testset", "--sample-orders", "3"), "--sample-orders"),
     (("--ideal", "testset", "--all-orders"), "--all-orders"),
-    (("--ideal", "stanley-reisner", "--use-order", "deglex:1,2,3,4,5,6", "--order", "deglex"),
-     "--use-order"),
-    (("--ideal", "stanley-reisner", "--vars", "6,5,4,3,2,1"), "--vars"),
-    (("--ideal", "union-testsets", "--all-orders", "--vars", "6,5,4,3,2,1"), "--vars"),
+    (("--ideal", "stanley-reisner", "--order", "deglex:1,2,3,4,5,6"), "--order"),
+    (("--order", "deglex"), "--order"),  # stanley-reisner by default
+    (("--ideal", "union-testsets", "--all-orders", "--order", "degrevlex:6,5,4,3,2,1"),
+     "--order"),
     (("--ideal", "union-testsets", "--all-orders", "--seed", "9"), "--seed"),
     (("--ideal", "union-testsets", "--seed", "9"), "--seed"),  # n = 6: every order
-    (("--ideal", "union-testsets", "--use-order", "deglex:1,2,3,4,5,6", "--seed", "0"),
+    (("--ideal", "union-testsets", "--order", "deglex:1,2,3,4,5,6", "--seed", "0"),
      "--seed"),
     (("--ideal", "testset", "--seed", "9"), "--seed"),
 ])
@@ -453,6 +463,63 @@ def test_cli_betti_refuses_flags_it_would_not_use(capsys, argv, flag):
     assert out == ""
     assert flag in err and " need" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("route, spec", [
+    ("oracle", "deglex"), ("resolution", "degrevlex:6,5,4,3,2,1"),
+])
+def test_cli_ghw_refuses_order_on_routes_without_one(capsys, route, spec):
+    """The routes that build no order exit 1 with no document on --order,
+    as betti does on the ideals that build none."""
+    rc, out, err = run_cli(capsys, "ghw", TOY, "--route", route, "--order", spec)
+    assert rc == 1
+    assert out == ""
+    assert err == "ghw: --order needs --route testset\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("gb", TOY), ("decode", TOY, "110000"), ("verify", TOY),
+    ("ghw", TOY, "--route", "testset"), ("betti", TOY, "--ideal", "testset"),
+], ids=["gb", "decode", "verify", "ghw-testset", "betti-testset"])
+def test_cli_single_order_commands_refuse_a_repeated_order(capsys, command):
+    rc, out, err = run_cli(capsys, *command, "--order", "deglex", "--order", "degrevlex")
+    assert rc == 1
+    assert out == ""
+    assert err == f"ghw: --order given 2 times; {command[0]} takes one order\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gb", WORKED, "--order", "degrevlex", "--vars", "6,5,4,3,2,1"),
+    ("ghw", TOY, "--route", "oracle", "--vars", "9,9"),
+    ("betti", TOY, "--ideal", "union-testsets", "--use-order", "deglex:1,2,3,4,5,6"),
+    ("search", "--n", "6", "--k", "3", "--trials", "0", "--use-order", "deglex:1,2,3,4,5,6"),
+], ids=["gb-vars", "oracle-vars", "betti-use-order", "search-use-order"])
+def test_cli_old_order_flags_are_gone(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv)
+    assert rc == 1
+    assert out == ""
+    assert "unrecognized arguments: " + argv[-2] in err
+
+
+@pytest.mark.parametrize("command, n", [
+    (("gb", TOY), 6), (("decode", TOY, "110000"), 6), (("verify", TOY), 6),
+    (("ghw", TOY, "--route", "testset"), 6), (("betti", TOY, "--ideal", "testset"), 6),
+    (("betti", TOY, "--ideal", "union-testsets"), 6),
+    (("search", "--n", "4", "--k", "2", "--trials", "3"), 4),
+], ids=["gb", "decode", "verify", "ghw-testset", "betti-testset", "union", "search"])
+def test_cli_bare_order_kind_means_priority_one_to_n(capsys, command, n):
+    """--order deglex is --order deglex:1,...,n; on the union it is a
+    union over that one order."""
+    bare = run_json(capsys, *command, "--order", "deglex")
+    full = run_json(capsys, *command, "--order", "deglex:" + ",".join(map(str, range(1, n + 1))))
+    bare.pop("timing")
+    full.pop("timing")
+    assert bare == full
+    params = bare["params"]
+    assert (params.get("order") or params["orders"][0]) == {
+        "kind": "deglex", "vars": list(range(1, n + 1))}
+    if "order_count" in params:
+        assert params["order_count"] == 1
 
 
 def test_cli_betti_sampled_orders_default_to_seed_zero(capsys):
@@ -478,7 +545,7 @@ def test_cli_all_orders_refused_past_the_fan_budget(tmp_path, capsys):
     assert rc == 2
     assert out == ""
     assert "states of 128 cosets" in err
-    assert "--sample-orders" in err and "--use-order" in err
+    assert "--sample-orders" in err and "--order" in err
     assert "Traceback" not in err
 
 
@@ -521,9 +588,9 @@ def test_cli_rejects_threads_on_every_command(capsys, command, value):
     (("search", "--n", "4", "--k", "2", "--trials", "3"), 4),
 ])
 def test_cli_shared_flags_on_every_command(tmp_path, capsys, command, n):
-    """--order, --vars and -o reach every subcommand; the file holds the
-    document that stdout would have held."""
-    flags = ("--order", "deglex", "--vars", ",".join(map(str, range(n, 0, -1))))
+    """--order and -o reach every subcommand that builds an order; the file
+    holds the document that stdout would have held."""
+    flags = ("--order", "deglex:" + ",".join(map(str, range(n, 0, -1))))
     path = tmp_path / "doc.json"
     rc, out, err = run_cli(capsys, *command, *flags, "-o", str(path))
     assert rc == 0, err
@@ -563,6 +630,26 @@ def test_cli_search_rejects_injected_length_mismatch(capsys):
     assert out == ""
     assert path in err and "14" in err and "--n 6" in err
     assert "Traceback" not in err
+
+
+def test_cli_readme_examples(monkeypatch, capsys):
+    """Every `$ ghw ...` line of the README runs from the repository root
+    and exits 0, and prints the display its comment quotes."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    examples = [line[len("$ ghw "):] for line in readme.splitlines()
+                if line.startswith("$ ghw ")]
+    monkeypatch.chdir(root)
+    displays = 0
+    for example in examples:
+        command, _, comment = example.partition("#")
+        rc, out, err = run_cli(capsys, *shlex.split(command))
+        assert rc == 0, (example, err)
+        quoted = re.search(r'"display": "([^"]*)"', comment)
+        if quoted:
+            assert json.loads(out)["result"]["display"] == quoted.group(1), example
+            displays += 1
+    assert len(examples) >= 8 and displays >= 2
 
 
 def test_public_api_resolves(monkeypatch):
