@@ -126,39 +126,23 @@ class VerificationReport(Frozen):
                 | {"checks": dict(sorted(self.checks.items()))})
 
 
-def verify_code(c: Code, o: TermOrder, lemma_trials: int = 100,
-                seed: int = 0, audit: bool = False) -> VerificationReport:
+def verify_code(c: Code, o: TermOrder, seed: int = 0,
+                audit: bool = False) -> VerificationReport:
     """Run the whole battery of proven checks on one code and order.
 
     The battery: test-set membership and the d_1 word, standard form,
     witness-support binomials, d_2 from pairs, the projective-dimension
     and shift bounds with exactness at i = 1, 2, the min-shift identity
-    on the circuit ideal, hierarchy shape, and the sampled set lemma.
-    Any failed check aborts for nondegenerate codes.  audit also sweeps
-    the circuit ideal and the test-set ideal with betti_table_hochster
-    and raises TheoremViolation unless the first agrees with the fast
-    table and the second gives the targeted sweep's shifts and pd.
+    on the circuit ideal, hierarchy shape, and the set lemma on 100
+    sampled pairs.  Any failed check aborts for nondegenerate codes.
+    audit also sweeps the circuit ideal and the test-set ideal with
+    betti_table_hochster and raises TheoremViolation unless the first
+    agrees with the fast table and the second gives the targeted sweep's
+    shifts and pd.
     """
-    check_symmetric_difference_lemma(c.n, lemma_trials, seed=seed)
+    check_symmetric_difference_lemma(c.n, 100, seed=seed)
     report, = _verify_orders(c, [o], audit)
     return report
-
-
-def _code_facts(c: Code, audit: bool):
-    """(hierarchy, minimal supports, circuit table, its min shifts): the
-    per-code facts of the verify battery, both tables read off the code's
-    one subcode table."""
-    d = ghw_hierarchy(c).values
-    minimal = minimal_support_codewords(c)
-    table_full = circuit_betti_table(c)
-    if audit:
-        swept = betti_table_hochster(ideal_from_supports(c.n, minimal), audit=True)
-        if swept.entries != table_full.entries:
-            raise TheoremViolation(
-                f"circuit-ideal Betti tables differ on [{c.n},{c.k}] code: "
-                f"Hochster sweep {swept.sorted_triples()}, "
-                f"matroid table {table_full.sorted_triples()}")
-    return d, set(minimal), table_full, min_shifts(table_full)
 
 
 def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
@@ -167,22 +151,32 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
     The hierarchy, the minimal supports and the circuit table (swept
     again under audit) depend on the code alone and are built once, after
     the first order's test-set sweep: a test-set sweep past the budget is
-    refused before any of them is built.  The basis, the test set and its
-    minimal shifts (and pd, their count), and the witness are built per
-    order; under audit the shifts are checked against the full audited
-    Betti table of the test-set ideal.  The caller runs the set lemma,
-    which depends on neither.
+    refused before any of them is built.  Both tables read the code's one
+    subcode table.  The basis, the test set and its minimal shifts (and
+    pd, their count), and the witness are built per order; under audit
+    the shifts are checked against the full audited Betti table of the
+    test-set ideal.  The caller runs the set lemma, which depends on
+    neither.
     """
-    facts = None
-    for o in orders:
+    for idx, o in enumerate(orders):
         basis, _ = reduced_groebner_basis(c, o)
         words = test_set(basis, c)
         minshift_ts = hochster_min_shifts(
             ideal_from_supports(c.n, words), audit=audit)
         pd_ts = len(minshift_ts)
-        if facts is None:
-            facts = _code_facts(c, audit)
-        d, minimal_set, table_full, minshift_full = facts
+        if not idx:
+            d = ghw_hierarchy(c).values
+            minimal_set = set(minimal_support_codewords(c))
+            table_full = circuit_betti_table(c)
+            if audit:
+                swept = betti_table_hochster(
+                    ideal_from_supports(c.n, minimal_set), audit=True)
+                if swept.entries != table_full.entries:
+                    raise TheoremViolation(
+                        f"circuit-ideal Betti tables differ on [{c.n},{c.k}] code: "
+                        f"Hochster sweep {swept.sorted_triples()}, "
+                        f"matroid table {table_full.sorted_triples()}")
+            minshift_full = min_shifts(table_full)
 
         agreement = tuple(i < pd_ts and minshift_ts[i] == d[i] for i in range(c.k))
         checks: dict[str, bool] = {}
@@ -263,6 +257,10 @@ class SearchReport(Frozen):
         return doc
 
 
+# Report fields copied into each flagged search entry, after trial and matrix.
+_FLAGGED_FIELDS = ("order", "ghw", "minshift_testset", "pd_testset", "k", "exact_through_i3")
+
+
 def counterexample_search(n: int, k: int, trials: int, seed: int,
                           orders: list[TermOrder] | None = None,
                           inject: tuple[BinaryMatrix, ...] = ()) -> SearchReport:
@@ -306,16 +304,10 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
             if res.exact_through_i3 is False:
                 exactness_i3_failures += 1
             if not res.full_agreement:
-                flagged.append(MappingProxyType({
-                    "trial": label,
-                    "matrix": tuple(" ".join(row) for row in code.generator.row_strings()),
-                    "order": res.order,
-                    "ghw": res.ghw,
-                    "minshift_testset": res.minshift_testset,
-                    "pd_testset": res.pd_testset,
-                    "k": code.k,
-                    "exact_through_i3": res.exact_through_i3,
-                }))
+                flagged.append(MappingProxyType(
+                    {"trial": label,
+                     "matrix": tuple(" ".join(row) for row in res.generator_rows)}
+                    | {name: getattr(res, name) for name in _FLAGGED_FIELDS}))
     return SearchReport(n, k, trials, seed, tuple(o.describe() for o in orders), evaluated,
                         skipped_rank_deficient, skipped_degenerate, tuple(flagged),
                         exactness_i3_failures,

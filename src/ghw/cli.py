@@ -318,16 +318,17 @@ def make_parser() -> argparse.ArgumentParser:
                              "search and the union")
     common.add_argument("-o", "--output", default=None,
                         help="write the result document here instead of stdout")
+    # common plus the matrix file, for every subcommand but search
+    matrix = argparse.ArgumentParser(add_help=False, parents=[common])
+    matrix.add_argument("matrix")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ghw", parents=[common], help="weight hierarchy by a chosen route")
-    p.add_argument("matrix")
+    p = sub.add_parser("ghw", parents=[matrix], help="weight hierarchy by a chosen route")
     p.add_argument("--route", choices=("oracle", "resolution", "testset"),
                    default="oracle")
     p.set_defaults(func=_cmd_ghw)
 
-    p = sub.add_parser("betti", parents=[common], help="Betti table of a code-derived ideal")
-    p.add_argument("matrix")
+    p = sub.add_parser("betti", parents=[matrix], help="Betti table of a code-derived ideal")
     p.add_argument("--ideal",
                    choices=("stanley-reisner", "testset", "union-testsets"),
                    default="stanley-reisner")
@@ -341,18 +342,15 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)  # None: 0, and only for sampled orders
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("gb", parents=[common], help="reduced Groebner basis and test set")
-    p.add_argument("matrix")
+    p = sub.add_parser("gb", parents=[matrix], help="reduced Groebner basis and test set")
     p.set_defaults(func=_cmd_gb)
 
-    p = sub.add_parser("decode", parents=[common],
+    p = sub.add_parser("decode", parents=[matrix],
                        help="decode a word by coset-leader reduction")
-    p.add_argument("matrix")
     p.add_argument("word", help="received word as a bitstring")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("verify", parents=[common], help="run every proven check on one code")
-    p.add_argument("matrix")
+    p = sub.add_parser("verify", parents=[matrix], help="run every proven check on one code")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_verify)
 

@@ -117,11 +117,8 @@ class GroebnerBasis(Frozen):
 
     _fields = ("order", "n", "binomials", "standard_form_violations")
 
-    def degree_one_leads(self) -> tuple[int, ...]:
-        return tuple(b.lead for b in self.binomials if b.lead.bit_count() == 1)
-
     def quadric_count(self) -> int:
-        return self.n - len(self.degree_one_leads())
+        return self.n - sum(b.lead.bit_count() == 1 for b in self.binomials)
 
     def total_size(self) -> int:
         """Number of elements of the full reduced basis, quadrics included."""

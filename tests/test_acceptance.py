@@ -229,8 +229,7 @@ def test_acceptance_7_property_suite():
                 # hierarchy shape, min-shift identities, test-set d1/d2,
                 # shift bounds, witness supports; audit re-checks the
                 # Euler characteristic of every restricted complex.
-                verify_code(code, order, lemma_trials=5,
-                            seed=rng.randrange(1 << 30), audit=True)
+                verify_code(code, order, seed=rng.randrange(1 << 30), audit=True)
             checked += 1
         assert check_symmetric_difference_lemma(12, 10_000, seed=777) == 10_000
     assert t.seconds < 10 * 60
