@@ -18,7 +18,8 @@ from types import MappingProxyType
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
 from .errors import CapExceeded, DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, Frozen, word_to_string
-from .groebner import TermOrder, coset_minima, reduced_groebner_basis, test_set
+from .groebner import (TermOrder, coset_minima, minimum_weight_layers, reduced_groebner_basis,
+                       test_set)
 from .resolution import (
     MonomialIdeal,
     betti_table_hochster,
@@ -315,131 +316,86 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
 
 
 def union_testsets(c: Code, orders: list[TermOrder]) -> MonomialIdeal:
-    """Union of the test sets over the given orders, as a support ideal.
-
-    Orders are keyed by the member they pick in each coset with more than
-    one minimum-weight member, and each class of orders gets one basis
-    (see _union_by_class).
-    """
-    if not orders:
-        raise ValueError("need at least one order")
-
-    def classes_of(tied):
-        classes: dict[tuple[int, ...], TermOrder] = {}
-        for o in orders:
-            key = ()
-            if tied:
-                # A copy of o picks the members, so that the caller's list
-                # does not keep a sort-key weight table alive for every order.
-                key = tuple(map(TermOrder(o.kind, o.priority).min_word, tied))
-            classes.setdefault(key, o)
-        return classes
-
-    return _union_by_class(c, classes_of)
-
-
-# Most work union_all_orders takes on, counted as states of its Groebner-fan
-# search times cosets of the code: a state holds a survivor set per tied
-# coset, and each class (a state) builds a reduced basis over every coset.
-# Each kind reaches a state by a sequence of distinct variables, of which
-# n = 7 has 13,700, and a code of length 7 has 64 cosets at most: 1.75e6 in
-# all, so the default all-orders union of a code with n <= 7 is never refused.
-FAN_BUDGET = 1 << 21
-
-
-def union_all_orders(c: Code) -> MonomialIdeal:
-    """Union of the test sets over every deglex and degrevlex order (all
-    2 * n! priority permutations), listing the classes of orders and never
-    the orders.
-
-    Every minimum-weight member of a tied coset has the same weight, so an
-    order picks among them by its tie-break alone.  deglex walks its
-    priority list and, at each variable on which the survivors differ,
-    keeps those without it; degrevlex walks the list from its lowest end
-    and keeps those with it.  A walked variable never splits the survivors
-    again, so the tuple of survivor sets after a prefix of the walk is the
-    whole state.  One depth-first search per kind visits each state once,
-    branching only on variables that split some set, and a state of
-    singletons is a class, keyed by those singletons.  The class's order
-    reads its walk, then the unwalked variables in ascending order, as
-    deglex priority or, reversed, as degrevlex priority.  CapExceeded,
-    before any basis is built, once the states visited times the cosets of
-    the code pass FAN_BUDGET.
-    """
-    cosets = 1 << (c.n - c.k)
-
-    def charge(states: int) -> None:
-        if states * cosets > FAN_BUDGET:
-            raise CapExceeded(
-                f"the Groebner-fan search of the [{c.n},{c.k}] code passed "
-                f"{states} states of {cosets} cosets "
-                f"(budget {FAN_BUDGET:.2e} = 2^{FAN_BUDGET.bit_length() - 1})")
-
-    def classes_of(tied):
-        classes: dict[tuple[int, ...], TermOrder] = {}
-        visited = 0
-        for kind, keep in (("deglex", False), ("degrevlex", True)):
-            seen = {tied}
-            visited += 1
-            stack = [(tied, ())]
-            while stack:
-                sets, walk = stack.pop()
-                splits = []  # per set, the variables on which its survivors differ
-                split = 0
-                for members in sets:
-                    ors, ands = 0, -1
-                    for m in members:
-                        ors |= m
-                        ands &= m
-                    splits.append(ors & ~ands)
-                    split |= ors & ~ands
-                if not split:
-                    key = tuple(members[0] for members in sets)
-                    if key not in classes:
-                        read = walk + tuple(v for v in range(c.n) if v not in walk)
-                        classes[key] = TermOrder(kind, read[::-1] if keep else read)
-                    continue
-                while split:
-                    bit = split & -split
-                    split ^= bit
-                    want = bit if keep else 0
-                    child = tuple(tuple(m for m in members if m & bit == want) if s & bit
-                                  else members for members, s in zip(sets, splits))
-                    if child not in seen:
-                        seen.add(child)
-                        visited += 1
-                        charge(visited)
-                        stack.append((child, walk + (bit.bit_length() - 1,)))
-        return classes
-
-    charge(1)
-    return _union_by_class(c, classes_of)
-
-
-def _union_by_class(c: Code, classes_of) -> MonomialIdeal:
-    """The union of the test sets of one reduced basis per class of orders.
+    """Union of the test sets over the given orders, as a support ideal,
+    from one reduced basis per class of orders.
 
     The reduced basis depends only on its standard monomials, the coset
     leaders, and every degree-compatible order takes its leaders among the
-    minimum-weight members of each coset.  So a class of orders (a cone
-    of the Groebner fan) is fixed by the member it picks in each tied
-    coset, one with more than one.  classes_of maps the tied cosets'
-    members to {key: one order of that class}, a key naming the member
-    picked in each tied coset.  Each order's basis is built, and
+    minimum-weight members of each coset (coset_minima).  So a class of
+    orders (a cone of the Groebner fan) is fixed by the member it picks in
+    each tied coset, one with more than one, and that tuple of members is
+    the class's key.  Each class's first order builds the basis, and
     TheoremViolation is raised unless its leaders are the members its key
     names.
     """
+    if not orders:
+        raise ValueError("need at least one order")
     minima = coset_minima(c)
     tied = {syn: members for syn, members in minima.items() if len(members) > 1}
     leaders = {syn: members[0] for syn, members in minima.items()}
+    classes: dict[tuple[int, ...], TermOrder] = {}
+    for o in orders:
+        key = ()
+        if tied:
+            # A copy of o picks the members, so that the caller's list
+            # does not keep a sort-key weight table alive for every order.
+            key = tuple(map(TermOrder(o.kind, o.priority).min_word, tied.values()))
+        classes.setdefault(key, o)
     union: set[int] = set()
-    for key, o in classes_of(tuple(tied.values())).items():
+    for key, o in classes.items():
         basis, table = reduced_groebner_basis(c, o)
         if table.leaders != leaders | dict(zip(tied, key)):
             raise TheoremViolation(
                 f"coset leaders of {o.describe()} are not the minimum-weight "
                 f"members it picks on [{c.n},{c.k}] code")
         union.update(test_set(basis, c))
+    return ideal_from_supports(c.n, union)
+
+
+# Most cosets union_all_orders takes on.  Its pass keeps every minimum-
+# weight member of every coset: a seeded [24,3] code, 2^21 cosets, takes
+# 27-34 s and 670-720 MB in-process on a 2-CPU host.
+COSET_BUDGET = 1 << 21
+
+
+def union_all_orders(c: Code) -> MonomialIdeal:
+    """Union of the test sets over every deglex and degrevlex order (all
+    2 * n! priority permutations), in one pass over the coset minima with
+    no order and no basis.
+
+    M is the set of minimum-weight members of all cosets; a one-bit-
+    smaller submask of a member is a member (minimum_weight_layers).  The
+    pass collects U = {a XOR m : a - e_i is in M for every i in a, m is in
+    M and in the coset of a, m != a}, and the union's ideal is U's.
+
+    Union in U.  Under a degree-compatible order the test-set words are
+    a XOR L(a), a a minimal non-standard mask and L(a) the leader of its
+    coset.  The submasks of a are leaders, so they lie in M; L(a) is in M
+    and L(a) != a.
+
+    U in the union's ideal.  Take u = a XOR m in U.  If i is in a & m,
+    then |a| = |m| (a - e_i is in M and m - e_i is in its coset), and
+    (a - e_i, m - e_i) is another pair for u; so take a & m = 0.  Take
+    deglex whose priority lists the variables outside a | m, then those
+    of a, then those of m.  a is not standard: |m| < |a|, or m < a.  So
+    a holds a minimal non-standard a', and t = a' XOR L(a') is in this
+    order's test set.  L(a') has the weight of a' (if a' != a, a' is a
+    proper submask of a and in M) or of m (a' = a), and L(a') < a' (or
+    L(a') <= m).  Neither a' nor m has a variable outside a | m, and
+    those come first in the priority, so L(a') has none either: t is
+    inside u.  Hence the deglex orders alone give the same ideal.
+
+    CapExceeded, before any growth, for more than COSET_BUDGET cosets.
+    """
+    cosets = 1 << (c.n - c.k)
+    if cosets > COSET_BUDGET:
+        raise CapExceeded(
+            f"the [{c.n},{c.k}] code has 2^{c.n - c.k} cosets; the one-pass union "
+            f"takes 2^{COSET_BUDGET.bit_length() - 1} at most (COSET_BUDGET)")
+    union: set[int] = set()
+    for candidates, minima in minimum_weight_layers(c):
+        for a, syn in candidates.items():
+            union.update(a ^ m for m in minima[syn] if m != a)
     return ideal_from_supports(c.n, union)
 
 

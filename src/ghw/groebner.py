@@ -11,8 +11,9 @@ becomes that coset's leader) or lands in an occupied coset (emit a
 binomial).  The emitted square-free binomials plus the surviving quadrics
 form the reduced basis; lead XOR trail of each binomial is a codeword of
 minimal support, and the deduplicated set of those codewords is the test
-set.  coset_minima runs the same growth with no order and keeps every
-minimum-weight member of each coset, the leaders any order can pick.
+set.  minimum_weight_layers runs the same growth with no order and keeps
+every minimum-weight member of each coset, the leaders any order can
+pick; coset_minima reads them off.
 """
 
 from __future__ import annotations
@@ -203,36 +204,53 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     return basis, table
 
 
+def minimum_weight_layers(c: Code):
+    """Yield, weight by weight, the candidates of that weight (mask ->
+    syndrome, as _candidates gives them) and the minima so far: syndrome
+    -> the minimum-weight members of that coset found up to this weight.
+
+    Members grow weight by weight like the leaders of
+    reduced_groebner_basis.  Each one-bit-smaller submask of a
+    minimum-weight member is a minimum-weight member of its own coset: a
+    lighter word u there would make u XOR that bit a lighter word of the
+    member's coset.  So the candidates of weight w+1 are the masks whose
+    w submasks of weight w are all members, and a candidate is a member
+    iff no lighter weight has reached its coset; the members of a coset
+    first reached at weight w are all listed once weight w is yielded.
+    The last weight yielded adds no member.  Syndromes are those of
+    CosetTable.
+    """
+    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
+    minima: dict[int, list[int]] = {0: [0]}
+    frontier = [(0, 0)]  # (member, syndrome) pairs of the current weight
+    weight = 0
+    while frontier:
+        weight += 1
+        candidates = _candidates(frontier, columns, weight)
+        fresh: dict[int, list[int]] = {}
+        for a, syn in candidates.items():
+            if syn not in minima:
+                fresh.setdefault(syn, []).append(a)
+        minima.update(fresh)
+        yield candidates, minima
+        frontier = [(a, syn) for syn, members in fresh.items() for a in members]
+    if len(minima) != 1 << (c.n - c.k):
+        raise TheoremViolation(
+            f"found {len(minima)} cosets, expected 2^{c.n - c.k}")
+
+
 def coset_minima(c: Code) -> dict[int, tuple[int, ...]]:
     """Syndrome -> every minimum-weight member of that coset, ascending.
 
     Every degree-compatible order picks its coset leader among these
     members, so the leaders of an order are fixed by its choice in the
-    cosets with more than one.  Members grow weight by weight like the
-    leaders of reduced_groebner_basis.  Each one-bit-smaller submask of a
-    minimum-weight member is a minimum-weight member of its own coset: a
-    lighter word u there would make u XOR that bit a lighter word of the
-    member's coset.  So the candidates of weight w+1 are the masks whose
-    w submasks of weight w are all members, and a candidate is a member
-    iff no lighter weight has reached its coset.  Syndromes are those of
-    CosetTable.
+    cosets with more than one.  The growth (minimum_weight_layers) stops
+    at the weight that reaches the last coset.
     """
-    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
     cosets = 1 << (c.n - c.k)
-    minima: dict[int, list[int]] = {0: [0]}
-    frontier = [(0, 0)]  # (member, syndrome) pairs of the current weight
-    weight = 0
-    while frontier and len(minima) < cosets:
-        weight += 1
-        fresh: dict[int, list[int]] = {}
-        for a, syn in _candidates(frontier, columns, weight).items():
-            if syn not in minima:
-                fresh.setdefault(syn, []).append(a)
-        minima.update(fresh)
-        frontier = [(a, syn) for syn, members in fresh.items() for a in members]
-    if len(minima) != cosets:
-        raise TheoremViolation(
-            f"found {len(minima)} cosets, expected 2^{c.n - c.k}")
+    for _, minima in minimum_weight_layers(c):
+        if len(minima) == cosets:
+            break
     return {syn: tuple(sorted(members)) for syn, members in minima.items()}
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -465,44 +466,29 @@ def short_codes(draw):
     return Code.from_generator(BinaryMatrix(tuple(rows), n))
 
 
-def class_keys(c, orders):
-    """The member each order picks in each tied coset of c: the key of
-    its class, one per order."""
-    tied = [m for m in coset_minima(c).values() if len(m) > 1]
-    return [tuple(o.min_word(m) for m in tied) for o in orders]
-
-
 @settings(max_examples=30, deadline=None)
 @given(short_codes())
-def test_union_all_orders_finds_the_classes_of_the_listed_orders(case):
-    """The search builds one basis per class of the 2 * n! listed orders,
-    its order picks the key of that class, and the union is the union of
-    the test sets of every order: one basis per order up to n = 6, and
-    one per listed class (union_testsets) at n = 7, where 10,080 bases
-    would take a second per code."""
+def test_union_all_orders_is_the_union_over_the_listed_orders(case):
+    """The one pass gives the union of the test sets of the 2 * n! listed
+    orders: one basis per order up to n = 6, and one per class of orders
+    (union_testsets) at n = 7, where 10,080 bases would take a second per
+    code."""
     code = case
     orders = list(all_priority_orders(code.n))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = count_bases(monkeypatch)
-        ideal = union_all_orders(code)
-    keys = class_keys(code, calls)
-    assert len(set(keys)) == len(keys)
-    assert set(keys) == set(class_keys(code, orders))
     oracle = per_order_union if code.n <= 6 else union_testsets
-    assert ideal == oracle(code, orders)
+    assert union_all_orders(code) == oracle(code, orders)
 
 
 def test_union_all_orders_fixture_classes(hamming74, toy63, monkeypatch):
-    """One basis for the perfect Hamming [7,4] code, 8 for the toy [6,3]
-    code: as many as listing the orders finds."""
+    """The perfect Hamming [7,4] code gives its one test set and the toy
+    [6,3] code the union over its 8 classes of orders, and the one pass
+    builds no basis for either."""
     hamming = union_testsets(hamming74, [TermOrder.default(7)])
     toy = union_testsets(toy63, list(all_priority_orders(6)))
     calls = count_bases(monkeypatch)
     assert union_all_orders(hamming74) == hamming
-    assert len(calls) == 1
-    calls.clear()
     assert union_all_orders(toy63) == toy
-    assert len(calls) == 8
+    assert calls == []
 
 
 @pytest.mark.parametrize("n, k, seed", [(8, 4, 1), (8, 5, 2), (9, 4, 3), (9, 6, 4),
@@ -516,35 +502,82 @@ def test_union_all_orders_holds_every_sampled_union(n, k, seed):
     assert set(sampled.gens) <= full
 
 
-def test_union_all_orders_refuses_leaders_off_the_minima(toy63, monkeypatch):
-    """With one member left in each tied coset, one the first order of
-    the search (deglex 1,2,...,n, its walk empty) does not pick, the
-    search finds one class, and that order's leaders are unlike its key."""
-    import ghw.analysis as analysis
-
-    first = TermOrder("deglex", tuple(range(6)))
-
-    def keep_one_unpicked(c):
-        return {syn: members[:1] if len(members) == 1 else
-                (next(m for m in members if m != first.min_word(members)),)
-                for syn, members in coset_minima(c).items()}
-
-    monkeypatch.setattr(analysis, "coset_minima", keep_one_unpicked)
-    with pytest.raises(TheoremViolation, match="coset leaders of deglex vars=1,2,3,4,5,6"):
-        union_all_orders(toy63)
-
-
 def test_union_all_orders_refused_past_the_budget_before_any_basis(monkeypatch):
-    """The [10,7] code's search visits 16 states or more, 8 cosets each:
-    a budget of 127 refuses it, and no basis is built."""
+    """The [10,7] code has 2^3 cosets: a bound of 2^2 refuses it before the
+    growth of the coset minima starts, so no basis is built either, and
+    at a bound of 2^3 it runs."""
     import ghw.analysis as analysis
+    import ghw.groebner as groebner
 
     code = make_code(kc.CODE107_ROWS)
     calls = count_bases(monkeypatch)
-    monkeypatch.setattr(analysis, "FAN_BUDGET", 127)
-    with pytest.raises(CapExceeded, match="states of 8 cosets"):
+    grown = []
+    real = groebner._candidates
+
+    def counted(*args):
+        grown.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groebner, "_candidates", counted)
+    monkeypatch.setattr(analysis, "COSET_BUDGET", 4)
+    with pytest.raises(CapExceeded, match=r"2\^3 cosets; the one-pass union takes 2\^2 at most"):
         union_all_orders(code)
-    assert calls == []
+    assert grown == [] and calls == []
+    monkeypatch.setattr(analysis, "COSET_BUDGET", 8)
+    union_all_orders(code)
+    assert grown and calls == []
+
+
+def one_pass_pairs(code):
+    """The pairs (a, m) of U, by scanning all 2^n masks: every
+    one-bit-smaller submask of a is a minimum-weight member of its coset,
+    and m != a is one of a's coset."""
+    minima = minimum_weight_words(code)
+    members = {m for coset in minima.values() for m in coset}
+    for a in range(1 << code.n):
+        if all(a ^ (1 << i) in members for i in range(code.n) if a >> i & 1):
+            yield from ((a, m) for m in minima[code.parity.mul_word(a)] if m != a)
+
+
+def test_union_all_orders_each_pair_holds_a_word_of_its_deglex_order():
+    """The construction of union_all_orders' proof on seeded codes with
+    n <= 9: U is what the one pass collects; each (a, m), reduced to
+    disjoint parts, holds a test-set word of the deglex order that lists
+    the variables outside a | m, then those of a, then those of m."""
+    rng = random.Random(26)
+    pairs = 0
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        code = random_code(rng, n, rng.randint(1, n - 1))
+        union = set()
+        testsets: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for a, m in one_pass_pairs(code):
+            union.add(a ^ m)
+            while a & m:
+                low = a & m & -(a & m)
+                a, m = a ^ low, m ^ low
+            u = a | m
+            priority = tuple(i for part in (~u, a, m) for i in range(n) if part >> i & 1)
+            if priority not in testsets:
+                basis, _ = reduced_groebner_basis(code, TermOrder("deglex", priority))
+                testsets[priority] = extract_testset(basis, code)
+            assert any(t & ~u == 0 for t in testsets[priority])
+            pairs += 1
+        assert union_all_orders(code) == ideal_from_supports(n, union)
+    assert pairs > 5000
+
+
+def test_union_all_orders_is_the_union_over_the_deglex_orders(toy63):
+    """The proof's corollary: for n <= 6 the n! deglex orders alone give
+    the union over all orders."""
+    rng = random.Random(6)
+    codes = [toy63]
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        codes.append(random_code(rng, n, rng.randint(1, n - 1)))
+    for code in codes:
+        deglex = [TermOrder("deglex", p) for p in permutations(range(code.n))]
+        assert union_all_orders(code) == per_order_union(code, deglex)
 
 
 def minimum_weight_words(code):

@@ -531,22 +531,39 @@ def test_cli_betti_sampled_orders_default_to_seed_zero(capsys):
     assert docs[0]["result"] == docs[1]["result"]
 
 
-def test_cli_all_orders_refused_past_the_fan_budget(tmp_path, capsys):
-    """The Groebner-fan search of a seeded [14,7] code passes 16,384
-    states of 128 cosets: the union is refused before any basis, with
-    the flags that still run it."""
-    code = random_code(random.Random(14), 14, 7)
-    path = tmp_path / "random14_7.txt"
-    path.write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+def test_cli_all_orders_refused_past_the_coset_budget(tmp_path, capsys):
+    """The one-pass union runs on a seeded [14,7] code (2^7 cosets) and
+    refuses a seeded [24,2] one (2^22 cosets) before it grows the coset
+    minima, with the bound and the flags that still run a union."""
+    paths = []
+    for n, k in ((14, 7), (24, 2)):
+        code = random_code(random.Random(n), n, k)
+        paths.append(tmp_path / f"random{n}_{k}.txt")
+        paths[-1].write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+    doc = run_json(capsys, "betti", str(paths[0]), "--ideal", "union-testsets", "--all-orders")
+    assert doc["result"]["generator_count"] > 0
     start = time.perf_counter()
-    rc, out, err = run_cli(capsys, "betti", str(path), "--ideal", "union-testsets",
+    rc, out, err = run_cli(capsys, "betti", str(paths[1]), "--ideal", "union-testsets",
                            "--all-orders")
     assert time.perf_counter() - start < 5
     assert rc == 2
     assert out == ""
-    assert "states of 128 cosets" in err
+    assert "2^22 cosets" in err and "2^21 at most" in err
     assert "--sample-orders" in err and "--order" in err
     assert "Traceback" not in err
+
+
+def test_cli_all_orders_code149_holds_the_single_and_sampled_unions(capsys):
+    """code149 [14,9] runs under --all-orders, and its generators hold the
+    default degrevlex and the deglex test sets and a 200-order sample."""
+    full = set(run_json(capsys, "betti", C149, "--ideal", "union-testsets",
+                        "--all-orders")["result"]["generators"])
+    for kind in ("degrevlex", "deglex"):
+        words = run_json(capsys, "gb", C149, "--order", kind)["result"]["test_set"]
+        assert set(words) <= full
+    sampled = run_json(capsys, "betti", C149, "--ideal", "union-testsets",
+                       "--sample-orders", "200")
+    assert set(sampled["result"]["generators"]) <= full
 
 
 def test_cli_all_orders_above_n9_holds_the_sampled_union(capsys):
