@@ -16,7 +16,7 @@ from itertools import permutations
 from types import MappingProxyType
 
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
-from .errors import CapExceeded, DimensionTooSmall, TheoremViolation, ZeroCode
+from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, Frozen, word_to_string
 from .groebner import (TermOrder, coset_minima, minimum_weight_layers, reduced_groebner_basis,
                        test_set)
@@ -326,7 +326,8 @@ def union_testsets(c: Code, orders: list[TermOrder]) -> MonomialIdeal:
     each tied coset, one with more than one, and that tuple of members is
     the class's key.  Each class's first order builds the basis, and
     TheoremViolation is raised unless its leaders are the members its key
-    names.
+    names.  CapExceeded, before any basis, past groebner.COSET_BUDGET
+    cosets.
     """
     if not orders:
         raise ValueError("need at least one order")
@@ -350,12 +351,6 @@ def union_testsets(c: Code, orders: list[TermOrder]) -> MonomialIdeal:
                 f"members it picks on [{c.n},{c.k}] code")
         union.update(test_set(basis, c))
     return ideal_from_supports(c.n, union)
-
-
-# Most cosets union_all_orders takes on.  Its pass keeps every minimum-
-# weight member of every coset: a seeded [24,3] code, 2^21 cosets, takes
-# 27-34 s and 670-720 MB in-process on a 2-CPU host.
-COSET_BUDGET = 1 << 21
 
 
 def union_all_orders(c: Code) -> MonomialIdeal:
@@ -385,13 +380,8 @@ def union_all_orders(c: Code) -> MonomialIdeal:
     those come first in the priority, so L(a') has none either: t is
     inside u.  Hence the deglex orders alone give the same ideal.
 
-    CapExceeded, before any growth, for more than COSET_BUDGET cosets.
+    CapExceeded, before any growth, past groebner.COSET_BUDGET cosets.
     """
-    cosets = 1 << (c.n - c.k)
-    if cosets > COSET_BUDGET:
-        raise CapExceeded(
-            f"the [{c.n},{c.k}] code has 2^{c.n - c.k} cosets; the one-pass union "
-            f"takes 2^{COSET_BUDGET.bit_length() - 1} at most (COSET_BUDGET)")
     union: set[int] = set()
     for candidates, minima in minimum_weight_layers(c):
         for a, syn in candidates.items():

@@ -156,18 +156,13 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     from .gf2 import word_to_string
     from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence
 
-    if args.ideal != "union-testsets" and (args.all_orders or args.sample_orders):
-        raise GhwError("--all-orders and --sample-orders need --ideal union-testsets")
+    if args.ideal != "union-testsets" and args.all_orders:
+        raise GhwError("--all-orders needs --ideal union-testsets")
     if args.ideal == "stanley-reisner" and args.order:
         raise GhwError("--order needs --ideal testset or union-testsets")
-    if args.order and (args.all_orders or args.sample_orders):
-        raise GhwError("the union needs one source of orders: give one of --order, "
-                       "--all-orders and --sample-orders")
+    if args.order and args.all_orders:
+        raise GhwError("the union needs one source of orders: give --order or --all-orders")
     code = _load_code(args.matrix)
-    sampled = (args.ideal == "union-testsets" and not (args.order or args.all_orders)
-               and (code.n > 7 or args.sample_orders))
-    if args.seed is not None and not sampled:
-        raise GhwError("--seed needs sampled orders (union-testsets, --sample-orders or n > 7)")
     params = {"matrix": args.matrix, "ideal": args.ideal}
     result: dict = {"ideal": args.ideal}
     if args.ideal == "stanley-reisner":
@@ -183,17 +178,11 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         ideal = ideal_from_supports(code.n, words)
         result["testset_size"] = len(words)
     else:
-        from .analysis import sample_orders, union_all_orders, union_testsets
+        from .analysis import union_all_orders, union_testsets
 
-        if args.order or sampled:
-            if args.order:
-                orders = [_parse_order(s, code.n) for s in args.order]
-                params["orders"] = [_order_params(o) for o in orders]
-            else:
-                count = args.sample_orders or 200
-                params["orders"] = f"sampled:{count}"
-                params["seed"] = args.seed or 0
-                orders = sample_orders(code.n, count, params["seed"])
+        if args.order:
+            orders = [_parse_order(s, code.n) for s in args.order]
+            params["orders"] = [_order_params(o) for o in orders]
             params["order_count"] = len(orders)
             ideal = union_testsets(code, orders)
         else:  # every order, never listed
@@ -201,11 +190,7 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
 
             params["orders"] = "all-permutations"
             params["order_count"] = 2 * math.factorial(code.n)
-            try:
-                ideal = union_all_orders(code)
-            except CapExceeded as exc:
-                raise CapExceeded(
-                    f"--all-orders: {exc}; use --sample-orders N or --order") from None
+            ideal = union_all_orders(code)
         result["union_size"] = len(ideal.gens)
     table = (circuit_betti_table(code) if args.ideal == "stanley-reisner"
              else betti_table_hochster(ideal))
@@ -332,14 +317,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--ideal",
                    choices=("stanley-reisner", "testset", "union-testsets"),
                    default="stanley-reisner")
-    source = p.add_mutually_exclusive_group()  # one source of orders for the union
-    source.add_argument("--all-orders", action="store_true",
-                        help="union over every deglex/degrevlex priority "
-                             "permutation (default when n <= 7)")
-    source.add_argument("--sample-orders", type=_int_at_least(1), default=0,
-                        metavar="N",
-                        help="union over N seeded random orders (default above n=7: 200)")
-    p.add_argument("--seed", type=int, default=None)  # None: 0, and only for sampled orders
+    p.add_argument("--all-orders", action="store_true",
+                   help="union over every deglex/degrevlex priority permutation "
+                        "(the default without --order)")
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("gb", parents=[matrix], help="reduced Groebner basis and test set")

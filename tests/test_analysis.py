@@ -502,11 +502,14 @@ def test_union_all_orders_holds_every_sampled_union(n, k, seed):
     assert set(sampled.gens) <= full
 
 
-def test_union_all_orders_refused_past_the_budget_before_any_basis(monkeypatch):
+@pytest.mark.parametrize("union", [
+    union_all_orders,
+    lambda code: union_testsets(code, [TermOrder.default(code.n)]),
+], ids=["union_all_orders", "union_testsets"])
+def test_unions_refused_past_the_coset_budget_before_any_growth(union, monkeypatch):
     """The [10,7] code has 2^3 cosets: a bound of 2^2 refuses it before the
     growth of the coset minima starts, so no basis is built either, and
     at a bound of 2^3 it runs."""
-    import ghw.analysis as analysis
     import ghw.groebner as groebner
 
     code = make_code(kc.CODE107_ROWS)
@@ -519,13 +522,13 @@ def test_union_all_orders_refused_past_the_budget_before_any_basis(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(groebner, "_candidates", counted)
-    monkeypatch.setattr(analysis, "COSET_BUDGET", 4)
-    with pytest.raises(CapExceeded, match=r"2\^3 cosets; the one-pass union takes 2\^2 at most"):
-        union_all_orders(code)
+    monkeypatch.setattr(groebner, "COSET_BUDGET", 4)
+    with pytest.raises(CapExceeded, match=r"2\^3 cosets; the coset minima take 2\^2 at most"):
+        union(code)
     assert grown == [] and calls == []
-    monkeypatch.setattr(analysis, "COSET_BUDGET", 8)
-    union_all_orders(code)
-    assert grown and calls == []
+    monkeypatch.setattr(groebner, "COSET_BUDGET", 8)
+    union(code)
+    assert grown
 
 
 def one_pass_pairs(code):

@@ -174,17 +174,6 @@ def test_cli_betti_union_explicit_orders(capsys):
     assert doc["result"]["union_size"] == len(doc["result"]["generators"])
 
 
-def test_cli_betti_union_sampled_orders_record_seed(capsys):
-    """Two seeds sample different orders and different unions, and their
-    params say so."""
-    docs = [run_json(capsys, "betti", C149, "--ideal", "union-testsets",
-                     "--sample-orders", "20", "--seed", seed)
-            for seed in ("4", "5")]
-    assert [d["params"]["seed"] for d in docs] == [4, 5]
-    assert docs[0]["params"] | {"seed": 5} == docs[1]["params"]
-    assert docs[0]["result"]["union_size"] != docs[1]["result"]["union_size"]
-
-
 def test_diagram_round_trip_random_tables():
     import random
     rng = random.Random(9)
@@ -413,10 +402,6 @@ def test_cli_output_to_an_unwritable_path(tmp_path, capsys, target):
     (("search", "--n", "4", "--k", "6", "--trials", "1"), "--k"),
     (("search", "--n", "4", "--k", "0", "--trials", "1"), "--k"),
     (("search", "--n", "4", "--k", "2", "--trials", "-2"), "--trials"),
-    (("betti", TOY, "--ideal", "union-testsets", "--sample-orders", "-4"),
-     "--sample-orders"),
-    (("betti", TOY, "--ideal", "union-testsets", "--sample-orders", "0"),
-     "--sample-orders"),
 ])
 def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
     rc, out, err = run_cli(capsys, *argv)
@@ -427,9 +412,8 @@ def test_cli_rejects_out_of_range_numbers(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("first, second", [
-    (("--all-orders",), ("--sample-orders", "5")),
+    (("--order", "deglex"), ("--all-orders",)),
     (("--all-orders",), ("--order", "degrevlex:1,2,3,4,5,6")),
-    (("--sample-orders", "5"), ("--order", "degrevlex:1,2,3,4,5,6")),
 ])
 def test_cli_union_takes_one_source_of_orders(capsys, first, second):
     """Two sources of orders for one union are refused, not one of them
@@ -443,17 +427,12 @@ def test_cli_union_takes_one_source_of_orders(capsys, first, second):
 
 
 @pytest.mark.parametrize("argv, flag", [
-    (("--ideal", "testset", "--sample-orders", "3"), "--sample-orders"),
+    (("--all-orders",), "--all-orders"),  # stanley-reisner by default
     (("--ideal", "testset", "--all-orders"), "--all-orders"),
     (("--ideal", "stanley-reisner", "--order", "deglex:1,2,3,4,5,6"), "--order"),
     (("--order", "deglex"), "--order"),  # stanley-reisner by default
     (("--ideal", "union-testsets", "--all-orders", "--order", "degrevlex:6,5,4,3,2,1"),
      "--order"),
-    (("--ideal", "union-testsets", "--all-orders", "--seed", "9"), "--seed"),
-    (("--ideal", "union-testsets", "--seed", "9"), "--seed"),  # n = 6: every order
-    (("--ideal", "union-testsets", "--order", "deglex:1,2,3,4,5,6", "--seed", "0"),
-     "--seed"),
-    (("--ideal", "testset", "--seed", "9"), "--seed"),
 ])
 def test_cli_betti_refuses_flags_it_would_not_use(capsys, argv, flag):
     """A flag of an ideal or a source of orders that betti does not run
@@ -493,12 +472,18 @@ def test_cli_single_order_commands_refuse_a_repeated_order(capsys, command):
     ("ghw", TOY, "--route", "oracle", "--vars", "9,9"),
     ("betti", TOY, "--ideal", "union-testsets", "--use-order", "deglex:1,2,3,4,5,6"),
     ("search", "--n", "6", "--k", "3", "--trials", "0", "--use-order", "deglex:1,2,3,4,5,6"),
-], ids=["gb-vars", "oracle-vars", "betti-use-order", "search-use-order"])
+    ("betti", C107, "--ideal", "union-testsets", "--sample-orders", "5"),
+    ("betti", C107, "--ideal", "union-testsets", "--seed", "0"),
+], ids=["gb-vars", "oracle-vars", "betti-use-order", "search-use-order",
+        "betti-sample-orders", "betti-seed"])
 def test_cli_old_order_flags_are_gone(capsys, argv):
+    """The flags of earlier order sources exit 1 as unrecognized, with no
+    document and no traceback."""
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 1
     assert out == ""
     assert "unrecognized arguments: " + argv[-2] in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, n", [
@@ -522,19 +507,11 @@ def test_cli_bare_order_kind_means_priority_one_to_n(capsys, command, n):
         assert params["order_count"] == 1
 
 
-def test_cli_betti_sampled_orders_default_to_seed_zero(capsys):
-    """Without --seed, sampled orders use seed 0 and say so in params."""
-    docs = [run_json(capsys, "betti", C107, "--ideal", "union-testsets", *seed)
-            for seed in ((), ("--seed", "0"))]
-    assert docs[0]["params"]["seed"] == 0
-    assert docs[0]["params"] == docs[1]["params"]
-    assert docs[0]["result"] == docs[1]["result"]
-
-
 def test_cli_all_orders_refused_past_the_coset_budget(tmp_path, capsys):
-    """The one-pass union runs on a seeded [14,7] code (2^7 cosets) and
-    refuses a seeded [24,2] one (2^22 cosets) before it grows the coset
-    minima, with the bound and the flags that still run a union."""
+    """The union over every order runs on a seeded [14,7] code (2^7
+    cosets).  Both unions, over every order and over a listed one, refuse
+    a seeded [24,2] code (2^22 cosets) before they grow the coset minima,
+    with the bound in the message."""
     paths = []
     for n, k in ((14, 7), (24, 2)):
         code = random_code(random.Random(n), n, k)
@@ -542,40 +519,41 @@ def test_cli_all_orders_refused_past_the_coset_budget(tmp_path, capsys):
         paths[-1].write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
     doc = run_json(capsys, "betti", str(paths[0]), "--ideal", "union-testsets", "--all-orders")
     assert doc["result"]["generator_count"] > 0
-    start = time.perf_counter()
-    rc, out, err = run_cli(capsys, "betti", str(paths[1]), "--ideal", "union-testsets",
-                           "--all-orders")
-    assert time.perf_counter() - start < 5
-    assert rc == 2
-    assert out == ""
-    assert "2^22 cosets" in err and "2^21 at most" in err
-    assert "--sample-orders" in err and "--order" in err
-    assert "Traceback" not in err
+    for source in (("--all-orders",), ("--order", "degrevlex")):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, "betti", str(paths[1]), "--ideal", "union-testsets",
+                               *source)
+        assert time.perf_counter() - start < 5
+        assert rc == 2
+        assert out == ""
+        assert "2^22 cosets" in err and "2^21 at most" in err
+        assert "--sample-orders" not in err
+        assert "Traceback" not in err
 
 
 def test_cli_all_orders_code149_holds_the_single_and_sampled_unions(capsys):
     """code149 [14,9] runs under --all-orders, and its generators hold the
-    default degrevlex and the deglex test sets and a 200-order sample."""
+    default degrevlex and the deglex test sets.  That it holds sampled
+    unions is test_union_all_orders_holds_every_sampled_union."""
     full = set(run_json(capsys, "betti", C149, "--ideal", "union-testsets",
                         "--all-orders")["result"]["generators"])
     for kind in ("degrevlex", "deglex"):
         words = run_json(capsys, "gb", C149, "--order", kind)["result"]["test_set"]
         assert set(words) <= full
-    sampled = run_json(capsys, "betti", C149, "--ideal", "union-testsets",
-                       "--sample-orders", "200")
-    assert set(sampled["result"]["generators"]) <= full
 
 
 def test_cli_all_orders_above_n9_holds_the_sampled_union(capsys):
-    """code107 has n = 10: all 2 * 10! orders make 48 classes, and their
-    union holds the union of 50 sampled orders."""
-    full = run_json(capsys, "betti", C107, "--ideal", "union-testsets", "--all-orders")
-    sampled = run_json(capsys, "betti", C107, "--ideal", "union-testsets",
-                       "--sample-orders", "50")
+    """code107 has n = 10: the union is over all 2 * 10! orders, its params
+    say so without listing them, and with no order flag the document is
+    the same apart from timing."""
+    full, default = (run_json(capsys, "betti", C107, "--ideal", "union-testsets", *flags)
+                     for flags in (("--all-orders",), ()))
     assert full["params"]["orders"] == "all-permutations"
     assert full["params"]["order_count"] == 2 * 3_628_800
-    assert set(sampled["result"]["generators"]) <= set(full["result"]["generators"])
     assert full["result"]["union_size"] == len(full["result"]["generators"])
+    full.pop("timing")
+    default.pop("timing")
+    assert default == full
 
 
 def test_cli_search_length_above_cap(capsys):
