@@ -19,8 +19,8 @@ _EXPORTS = {
                "LengthCapExceeded", "MatrixParseError", "TheoremViolation",
                "TooFewGenerators", "ZeroCode"),
     "gf2": ("BinaryMatrix", "kernel_basis", "rref", "word_from_string", "word_to_string"),
-    "groebner": ("Binomial", "CosetTable", "GroebnerBasis", "TermOrder", "coset_minima",
-                 "decode", "normal_form", "reduced_groebner_basis", "test_set"),
+    "groebner": ("Binomial", "CosetTable", "GroebnerBasis", "TermOrder", "decode",
+                 "normal_form", "reduced_groebner_basis", "test_set"),
     "analysis": ("SearchReport", "VerificationReport", "WitnessPair", "all_priority_orders",
                  "counterexample_search", "d2_from_testset", "sample_orders",
                  "second_weight_witness", "union_all_orders", "union_testsets",

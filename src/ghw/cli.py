@@ -13,6 +13,7 @@ the Groebner, resolution or analysis modules.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -366,15 +367,19 @@ def main(argv=None) -> int:
     doc = build_document(args.command, params, code_info, result,
                          time.perf_counter() - t0, __version__)
     text = dumps_document(doc)
-    if args.output:
-        try:
+    try:
+        if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"ghw: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.output:  # fd 1 takes what is still buffered, so exit flushes quietly
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ghw: cannot write {args.output or 'to stdout'}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -13,7 +13,7 @@ form the reduced basis; lead XOR trail of each binomial is a codeword of
 minimal support, and the deduplicated set of those codewords is the test
 set.  minimum_weight_layers runs the same growth with no order and keeps
 every minimum-weight member of each coset, the leaders any order can
-pick; coset_minima reads them off.
+pick.  Both growths are refused up front past COSET_BUDGET cosets.
 """
 
 from __future__ import annotations
@@ -141,6 +141,21 @@ class CosetTable(Frozen):
         return self.parity.mul_word(word)
 
 
+# Most cosets a coset growth takes on.  In-process on a 2-CPU host, the
+# coset minima of a seeded [24,3] code (2^21 cosets) took 27-34 s and
+# 670-720 MB, and the basis of a seeded [24,2] code (2^22) 62 s and 840 MB.
+COSET_BUDGET = 1 << 21
+
+
+def check_coset_budget(n: int, k: int) -> None:
+    """CapExceeded if an [n,k] code has more than COSET_BUDGET cosets; every
+    coset growth calls it before it starts."""
+    most = COSET_BUDGET.bit_length() - 1
+    if n - k > most:
+        raise CapExceeded(f"the [{n},{k}] code has 2^{n - k} cosets; a coset growth "
+                          f"takes 2^{most} at most (COSET_BUDGET)")
+
+
 def _candidates(frontier, columns, weight: int) -> dict[int, int]:
     """Mask -> syndrome for every mask of the given weight whose one-bit-
     smaller submasks all lie in frontier, the (mask, syndrome) pairs of
@@ -169,10 +184,11 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     becomes that coset's leader) or hits an occupied one (emit
     lead-minus-leader).  A weight that adds no leader ends the scan: every
     lead sits one bit above leaders, so its degree is at most the covering
-    radius plus one.
+    radius plus one.  CapExceeded first past COSET_BUDGET cosets.
     """
     if order.n != c.n:
         raise ValueError(f"order on {order.n} variables, code length {c.n}")
+    check_coset_budget(c.n, c.k)
     columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
 
     leaders: dict[int, int] = {0: 0}
@@ -204,12 +220,6 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     return basis, table
 
 
-# Most cosets minimum_weight_layers takes on.  It keeps every minimum-
-# weight member of every coset: a seeded [24,3] code, 2^21 cosets, takes
-# 27-34 s and 670-720 MB in-process on a 2-CPU host.
-COSET_BUDGET = 1 << 21
-
-
 def minimum_weight_layers(c: Code):
     """Yield, weight by weight, the candidates of that weight (mask ->
     syndrome, as _candidates gives them) and the minima so far: syndrome
@@ -224,14 +234,9 @@ def minimum_weight_layers(c: Code):
     iff no lighter weight has reached its coset; the members of a coset
     first reached at weight w are all listed once weight w is yielded.
     The last weight yielded adds no member.  Syndromes are those of
-    CosetTable.
-
-    CapExceeded, before any growth, for more than COSET_BUDGET cosets.
+    CosetTable.  CapExceeded first past COSET_BUDGET cosets.
     """
-    if 1 << (c.n - c.k) > COSET_BUDGET:
-        raise CapExceeded(
-            f"the [{c.n},{c.k}] code has 2^{c.n - c.k} cosets; the coset minima "
-            f"take 2^{COSET_BUDGET.bit_length() - 1} at most (COSET_BUDGET)")
+    check_coset_budget(c.n, c.k)
     columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
     minima: dict[int, list[int]] = {0: [0]}
     frontier = [(0, 0)]  # (member, syndrome) pairs of the current weight
@@ -249,21 +254,6 @@ def minimum_weight_layers(c: Code):
     if len(minima) != 1 << (c.n - c.k):
         raise TheoremViolation(
             f"found {len(minima)} cosets, expected 2^{c.n - c.k}")
-
-
-def coset_minima(c: Code) -> dict[int, tuple[int, ...]]:
-    """Syndrome -> every minimum-weight member of that coset, ascending.
-
-    Every degree-compatible order picks its coset leader among these
-    members, so the leaders of an order are fixed by its choice in the
-    cosets with more than one.  The growth (minimum_weight_layers) stops
-    at the weight that reaches the last coset.
-    """
-    cosets = 1 << (c.n - c.k)
-    for _, minima in minimum_weight_layers(c):
-        if len(minima) == cosets:
-            break
-    return {syn: tuple(sorted(members)) for syn, members in minima.items()}
 
 
 def test_set(g: GroebnerBasis, c: Code) -> tuple[int, ...]:

@@ -15,7 +15,6 @@ from ghw import (
     TooFewGenerators,
     ZeroCode,
     all_priority_orders,
-    coset_minima,
     counterexample_search,
     d2_from_testset,
     ghw_bruteforce,
@@ -34,6 +33,7 @@ from ghw import (
 )
 from ghw.analysis import check_symmetric_difference_lemma, symmetric_difference_triple
 from ghw.gf2 import kernel_basis
+from ghw.groebner import minimum_weight_layers
 from ghw.codes import ghw_via_resolution
 from ghw.groebner import test_set as extract_testset
 from ghw.resolution import BettiTable
@@ -354,7 +354,7 @@ def test_search_random_run_is_deterministic():
 
 def per_order_union(c, orders):
     """One reduced basis and test set per order: the oracle for the
-    class-by-class union of union_testsets."""
+    class-by-class union of per_class_union."""
     union = set()
     for o in orders:
         basis, _ = reduced_groebner_basis(c, o)
@@ -362,42 +362,47 @@ def per_order_union(c, orders):
     return ideal_from_supports(c.n, union)
 
 
+def per_class_union(c, orders):
+    """The union of the test sets over the given orders from one reduced
+    basis per class of orders: the oracle where the orders are too many
+    for one basis each.
+
+    The reduced basis depends only on its standard monomials, the coset
+    leaders, and every degree-compatible order takes its leaders among the
+    minimum-weight members of each coset (coset_minima).  So a class of
+    orders (a cone of the Groebner fan) is fixed by the member it picks in
+    each tied coset, one with more than one, and that tuple of members is
+    the class's key.  Each class's first order builds the basis, and its
+    leaders must be the members its key names."""
+    minima = coset_minima(c)
+    tied = {syn: members for syn, members in minima.items() if len(members) > 1}
+    leaders = {syn: members[0] for syn, members in minima.items()}
+    classes = {}
+    for o in orders:
+        classes.setdefault(tuple(map(o.min_word, tied.values())), o)
+    union = set()
+    for key, o in classes.items():
+        basis, table = reduced_groebner_basis(c, o)
+        assert table.leaders == leaders | dict(zip(tied, key)), o.describe()
+        union.update(extract_testset(basis, c))
+    return ideal_from_supports(c.n, union)
+
+
 def count_bases(monkeypatch):
-    """Route analysis's reduced_groebner_basis through a call counter."""
+    """Route analysis's reduced_groebner_basis through a counter of the
+    bases it builds."""
     import ghw.analysis as analysis
 
     calls = []
     real = analysis.reduced_groebner_basis
 
     def counted(c, o):
+        built = real(c, o)
         calls.append(o)
-        return real(c, o)
+        return built
 
     monkeypatch.setattr(analysis, "reduced_groebner_basis", counted)
     return calls
-
-
-def test_union_over_all_orders_hamming_builds_one_basis(hamming74, monkeypatch):
-    """Hamming [7,4] is perfect: every coset has one minimum-weight
-    member, so all 10,080 orders share one basis."""
-    orders = list(all_priority_orders(7))
-    calls = count_bases(monkeypatch)
-    ideal = union_testsets(hamming74, orders)
-    assert len(orders) == 10_080
-    assert len(calls) == 1
-    assert ideal == per_order_union(hamming74, orders[:50])
-
-
-def test_union_over_all_orders_toy_builds_one_basis_per_class(toy63, monkeypatch):
-    orders = list(all_priority_orders(6))
-    calls = count_bases(monkeypatch)
-    ideal = union_testsets(toy63, orders)
-    assert len(orders) == 1_440
-    assert len(calls) == 8
-    # only the 8 orders that built a basis keep their sort-key weight table
-    assert sum("_weights" in vars(o) for o in orders) == 8
-    monkeypatch.undo()
-    assert ideal == per_order_union(toy63, orders)
 
 
 @st.composite
@@ -422,25 +427,10 @@ def codes_with_orders(draw):
 @settings(max_examples=40, deadline=None)
 @given(codes_with_orders())
 def test_union_testsets_matches_per_order_oracle(case):
+    """union_testsets builds one basis per order; the class-by-class
+    oracle, which builds one per class, gives the same union."""
     code, orders = case
-    assert union_testsets(code, orders) == per_order_union(code, orders)
-
-
-def test_union_testsets_refuses_leaders_off_the_minima(toy63, monkeypatch):
-    """With the member that the first order picks hidden from each tied
-    coset, that order's class has leaders unlike its key."""
-    import ghw.analysis as analysis
-
-    orders = list(all_priority_orders(6))
-
-    def hide_first_pick(c):
-        return {syn: tuple(m for m in members if m != orders[0].min_word(members))
-                     if len(members) > 1 else members
-                for syn, members in coset_minima(c).items()}
-
-    monkeypatch.setattr(analysis, "coset_minima", hide_first_pick)
-    with pytest.raises(TheoremViolation, match="coset leaders"):
-        union_testsets(toy63, orders)
+    assert union_testsets(code, orders) == per_class_union(code, orders)
 
 
 @st.composite
@@ -471,11 +461,11 @@ def short_codes(draw):
 def test_union_all_orders_is_the_union_over_the_listed_orders(case):
     """The one pass gives the union of the test sets of the 2 * n! listed
     orders: one basis per order up to n = 6, and one per class of orders
-    (union_testsets) at n = 7, where 10,080 bases would take a second per
+    (per_class_union) at n = 7, where 10,080 bases would take a second per
     code."""
     code = case
     orders = list(all_priority_orders(code.n))
-    oracle = per_order_union if code.n <= 6 else union_testsets
+    oracle = per_order_union if code.n <= 6 else per_class_union
     assert union_all_orders(code) == oracle(code, orders)
 
 
@@ -505,11 +495,12 @@ def test_union_all_orders_holds_every_sampled_union(n, k, seed):
 @pytest.mark.parametrize("union", [
     union_all_orders,
     lambda code: union_testsets(code, [TermOrder.default(code.n)]),
-], ids=["union_all_orders", "union_testsets"])
+    lambda code: reduced_groebner_basis(code, TermOrder.default(code.n)),
+], ids=["union_all_orders", "union_testsets", "reduced_groebner_basis"])
 def test_unions_refused_past_the_coset_budget_before_any_growth(union, monkeypatch):
-    """The [10,7] code has 2^3 cosets: a bound of 2^2 refuses it before the
-    growth of the coset minima starts, so no basis is built either, and
-    at a bound of 2^3 it runs."""
+    """The [10,7] code has 2^3 cosets: a bound of 2^2 refuses it before
+    any coset growth starts (no _candidates call), so no basis is built
+    either, and at a bound of 2^3 it runs."""
     import ghw.groebner as groebner
 
     code = make_code(kc.CODE107_ROWS)
@@ -523,7 +514,8 @@ def test_unions_refused_past_the_coset_budget_before_any_growth(union, monkeypat
 
     monkeypatch.setattr(groebner, "_candidates", counted)
     monkeypatch.setattr(groebner, "COSET_BUDGET", 4)
-    with pytest.raises(CapExceeded, match=r"2\^3 cosets; the coset minima take 2\^2 at most"):
+    with pytest.raises(CapExceeded,
+                       match=r"\[10,7\] code has 2\^3 cosets; a coset growth takes 2\^2 at most"):
         union(code)
     assert grown == [] and calls == []
     monkeypatch.setattr(groebner, "COSET_BUDGET", 8)
@@ -581,6 +573,18 @@ def test_union_all_orders_is_the_union_over_the_deglex_orders(toy63):
     for code in codes:
         deglex = [TermOrder("deglex", p) for p in permutations(range(code.n))]
         assert union_all_orders(code) == per_order_union(code, deglex)
+
+
+def coset_minima(c):
+    """Syndrome -> every minimum-weight member of that coset, ascending,
+    from the growth of minimum_weight_layers, stopped at the weight that
+    reaches the last coset.  Every degree-compatible order picks its
+    coset leader among these members."""
+    cosets = 1 << (c.n - c.k)
+    for _, minima in minimum_weight_layers(c):
+        if len(minima) == cosets:
+            break
+    return {syn: tuple(sorted(members)) for syn, members in minima.items()}
 
 
 def minimum_weight_words(code):

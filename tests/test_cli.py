@@ -507,16 +507,21 @@ def test_cli_bare_order_kind_means_priority_one_to_n(capsys, command, n):
         assert params["order_count"] == 1
 
 
+def seeded_code_file(tmp_path, n, k) -> Path:
+    """The seeded random [n,k] code random_code(Random(n), n, k), written
+    as a matrix file."""
+    code = random_code(random.Random(n), n, k)
+    path = tmp_path / f"random{n}_{k}.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+    return path
+
+
 def test_cli_all_orders_refused_past_the_coset_budget(tmp_path, capsys):
     """The union over every order runs on a seeded [14,7] code (2^7
     cosets).  Both unions, over every order and over a listed one, refuse
     a seeded [24,2] code (2^22 cosets) before they grow the coset minima,
     with the bound in the message."""
-    paths = []
-    for n, k in ((14, 7), (24, 2)):
-        code = random_code(random.Random(n), n, k)
-        paths.append(tmp_path / f"random{n}_{k}.txt")
-        paths[-1].write_text("".join(" ".join(row) + "\n" for row in code.generator.row_strings()))
+    paths = [seeded_code_file(tmp_path, n, k) for n, k in ((14, 7), (24, 2))]
     doc = run_json(capsys, "betti", str(paths[0]), "--ideal", "union-testsets", "--all-orders")
     assert doc["result"]["generator_count"] > 0
     for source in (("--all-orders",), ("--order", "degrevlex")):
@@ -529,6 +534,24 @@ def test_cli_all_orders_refused_past_the_coset_budget(tmp_path, capsys):
         assert "2^22 cosets" in err and "2^21 at most" in err
         assert "--sample-orders" not in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ("gb", "{path}"), ("decode", "{path}", "0" * 24), ("verify", "{path}"),
+    ("ghw", "{path}", "--route", "testset"), ("search", "--n", "24", "--k", "2", "--trials", "1"),
+])
+def test_cli_groebner_commands_refused_past_the_coset_budget(tmp_path, capsys, command):
+    """Every command that builds a reduced basis refuses the seeded [24,2]
+    code (2^22 cosets) up front, and search refuses [24,2] codes before
+    its first trial: exit 2, with the bound in the message."""
+    path = str(seeded_code_file(tmp_path, 24, 2))
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, *(arg.format(path=path) for arg in command))
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert out == ""
+    assert "2^22 cosets" in err and "2^21 at most" in err
+    assert "Traceback" not in err
 
 
 def test_cli_all_orders_code149_holds_the_single_and_sampled_unions(capsys):
@@ -715,3 +738,66 @@ def test_start_up_loads_only_the_modules_of_its_command(argv, loaded):
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [loaded, False]
+
+
+def spawn_cli(*argv, stdout=subprocess.PIPE):
+    """Run python -m ghw.cli in a child process.  PYTHONUNBUFFERED is
+    dropped from its environment, so that its stdout is block-buffered
+    when it is not a terminal, as under a shell pipe."""
+    import ghw
+
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(ghw.__file__).parent.parent)
+    return subprocess.run([sys.executable, "-m", "ghw.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+
+
+def without_seconds(text: str) -> str:
+    return re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', text)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", TOY), ("gb", C149), ("ghw", C149, "--route", "oracle"),
+    ("ghw", C149, "--route", "testset"), ("betti", C149),
+    ("betti", TOY, "--ideal", "union-testsets", "--order", "deglex", "--order", "degrevlex"),
+])
+def test_process_stdout_is_the_in_process_document(tmp_path, capsys, argv):
+    """A child process prints byte for byte the document of an in-process
+    main() apart from the timing, and -o writes the same document."""
+    rc, printed, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    proc = spawn_cli(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert without_seconds(proc.stdout) == without_seconds(printed)
+    path = tmp_path / "doc.json"
+    proc = spawn_cli(*argv, "-o", str(path))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert without_seconds(path.read_text(encoding="utf-8")) == without_seconds(printed)
+
+
+@pytest.mark.parametrize("argv, rc, line", [
+    (("ghw", TOY, "--no-such-flag"), 1, "ghw: error: unrecognized arguments: --no-such-flag\n"),
+    (("search", "--n", "25", "--k", "2", "--trials", "1"), 2,
+     "ghw: size cap exceeded: --n 25 exceeds cap 24\n"),
+])
+def test_process_refusals_print_one_line(argv, rc, line):
+    proc = spawn_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (rc, "", line)
+
+
+@pytest.mark.parametrize("size", ["small", "large"])
+def test_process_closed_stdout_exits_1_with_one_line(tmp_path, size):
+    """A stdout whose reader has gone fails the small document (under the
+    8 KiB buffer) at the flush and the large one (a seeded [15,7] basis,
+    15 KB) at the write: either way exit 1 with one line and no
+    traceback, and nothing more at shutdown."""
+    matrix = TOY if size == "small" else str(seeded_code_file(tmp_path, 15, 7))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = spawn_cli("gb", matrix, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "ghw: cannot write to stdout: Broken pipe\n"
