@@ -18,8 +18,7 @@ from types import MappingProxyType
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
 from .errors import DimensionTooSmall, TheoremViolation, ZeroCode
 from .gf2 import BinaryMatrix, Frozen, word_to_string
-from .groebner import (TermOrder, check_coset_budget, minimum_weight_layers,
-                       reduced_groebner_basis, test_set)
+from .groebner import TermOrder, _grow, check_coset_budget, reduced_groebner_basis, test_set
 from .resolution import (
     MonomialIdeal,
     betti_table_hochster,
@@ -49,17 +48,16 @@ class WitnessPair(Frozen):
 def second_weight_witness(c: Code, o: TermOrder) -> WitnessPair:
     """Select the witness pair by order-minimality.
 
-    d_2 is the smallest pair union of nonzero codewords, since over GF(2)
-    span{a, b} has support a | b; the candidate set holds every codeword
-    that appears in some two-dimensional subcode of support size d_2.
-    Codewords are compared through their support monomials, which is a
-    total order because distinct binary words have distinct supports.
+    d_2 is read off ghw_hierarchy; over GF(2) span{a, b} has support
+    a | b, so the candidate set holds every codeword that appears in some
+    two-dimensional subcode of support size d_2.  Codewords are compared
+    through their support monomials, which is a total order because
+    distinct binary words have distinct supports.
     """
     if c.k < 2:
         raise DimensionTooSmall("second weight needs k >= 2")
-    words = sorted(w for w in c.codewords() if w)
-    d2 = min_pair_union(words)
-    light = [w for w in words if w.bit_count() <= d2]  # |a|, |b| <= |a | b|
+    d2 = ghw_hierarchy(c).values[1]
+    light = [w for w in c.codewords() if 0 < w.bit_count() <= d2]  # |a|, |b| <= |a | b|
     pool = set()
     for i, a in enumerate(light):
         for b in light[i + 1:]:
@@ -333,10 +331,14 @@ def union_all_orders(c: Code) -> MonomialIdeal:
     2 * n! priority permutations), in one pass over the coset minima with
     no order and no basis.
 
-    M is the set of minimum-weight members of all cosets; a one-bit-
-    smaller submask of a member is a member (minimum_weight_layers).  The
-    pass collects U = {a XOR m : a - e_i is in M for every i in a, m is in
-    M and in the coset of a, m != a}, and the union's ideal is U's.
+    M is the set of minimum-weight members of all cosets.  A one-bit-
+    smaller submask of a member is a member: a lighter word u in its coset
+    would make u XOR that bit a lighter word of the member's coset.  So M
+    grows weight by weight like the leaders of reduced_groebner_basis
+    (groebner._grow), a candidate being in M iff no lighter weight reached
+    its coset.  The pass collects U = {a XOR m : a - e_i is in M for every
+    i in a, m is in M and in the coset of a, m != a}, and the union's
+    ideal is U's.
 
     Union in U.  Under a degree-compatible order the test-set words are
     a XOR L(a), a a minimal non-standard mask and L(a) the leader of its
@@ -357,10 +359,18 @@ def union_all_orders(c: Code) -> MonomialIdeal:
 
     CapExceeded, before any growth, past groebner.COSET_BUDGET cosets.
     """
+    minima: dict[int, list[int]] = {0: [0]}  # syndrome -> its members of M
     union: set[int] = set()
-    for candidates, minima in minimum_weight_layers(c):
-        for a, syn in candidates.items():
+
+    def claim(candidates):
+        fresh = [(a, syn) for a, syn in candidates.items() if syn not in minima]
+        for a, syn in fresh:
+            minima.setdefault(syn, []).append(a)
+        for a, syn in candidates.items():  # a coset's members are all in minima now
             union.update(a ^ m for m in minima[syn] if m != a)
+        return fresh
+
+    _grow(c, claim)
     return ideal_from_supports(c.n, union)
 
 

@@ -77,6 +77,15 @@ def _term_order(args, n: int) -> TermOrder:
     return _parse_order(specs[0], n)
 
 
+def _order_list(specs: list[str], n: int) -> list[TermOrder]:
+    """The orders of search or a listed union; GhwError on one given twice."""
+    orders = [_parse_order(spec, n) for spec in specs]
+    for i, o in enumerate(orders):
+        if o in orders[:i]:
+            raise GhwError(f"--order {specs[i]} repeats {o.describe()}")
+    return orders
+
+
 def _order_params(o: TermOrder) -> dict:
     return {
         "kind": o.kind,
@@ -182,7 +191,7 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
         from .analysis import union_all_orders, union_testsets
 
         if args.order:
-            orders = [_parse_order(s, code.n) for s in args.order]
+            orders = _order_list(args.order, code.n)
             params["orders"] = [_order_params(o) for o in orders]
             params["order_count"] = len(orders)
             ideal = union_testsets(code, orders)
@@ -273,7 +282,7 @@ def _cmd_search(args) -> tuple[dict, dict | None, dict]:
         raise CapExceeded(f"--n {args.n} exceeds cap {SIZE_CAP}")
     if args.k > args.n:
         raise GhwError(f"--k must be at most --n={args.n}, got {args.k}")
-    orders = [_parse_order(s, args.n) for s in args.order or ["degrevlex"]]
+    orders = _order_list(args.order or ["degrevlex"], args.n)
     inject = tuple(load_matrix(path) for path in args.inject or ())
     for path, matrix in zip(args.inject or (), inject):
         if matrix.ncols != args.n:

@@ -11,9 +11,10 @@ becomes that coset's leader) or lands in an occupied coset (emit a
 binomial).  The emitted square-free binomials plus the surviving quadrics
 form the reduced basis; lead XOR trail of each binomial is a codeword of
 minimal support, and the deduplicated set of those codewords is the test
-set.  minimum_weight_layers runs the same growth with no order and keeps
-every minimum-weight member of each coset, the leaders any order can
-pick.  Both growths are refused up front past COSET_BUDGET cosets.
+set.  analysis.union_all_orders runs the same growth (_grow) with no
+order and keeps every minimum-weight member of each coset, the leaders
+any order can pick.  The growth is refused up front past COSET_BUDGET
+cosets.
 """
 
 from __future__ import annotations
@@ -148,8 +149,8 @@ COSET_BUDGET = 1 << 21
 
 
 def check_coset_budget(n: int, k: int) -> None:
-    """CapExceeded if an [n,k] code has more than COSET_BUDGET cosets; every
-    coset growth calls it before it starts."""
+    """CapExceeded if an [n,k] code has more than COSET_BUDGET cosets; _grow
+    calls it before it starts."""
     most = COSET_BUDGET.bit_length() - 1
     if n - k > most:
         raise CapExceeded(f"the [{n},{k}] code has 2^{n - k} cosets; a coset growth "
@@ -173,6 +174,27 @@ def _candidates(frontier, columns, weight: int) -> dict[int, int]:
     return {a: syndromes[a] for a, h in hits.items() if h == weight}
 
 
+def _grow(c: Code, claim) -> None:
+    """Grow masks weight by weight from the zero word, the one growth
+    behind reduced_groebner_basis and analysis.union_all_orders.  claim
+    takes one weight's candidates (_candidates) and returns the next
+    frontier, the (mask, syndrome) pairs it keeps in cosets no lighter
+    weight reached.  The cosets are counted one frontier at a time:
+    TheoremViolation unless all 2^(n-k) were reached, and CapExceeded
+    first past COSET_BUDGET cosets.
+    """
+    check_coset_budget(c.n, c.k)
+    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
+    frontier = [(0, 0)]
+    reached = weight = 0
+    while frontier:
+        reached += len({syn for _, syn in frontier})
+        weight += 1
+        frontier = claim(_candidates(frontier, columns, weight))
+    if reached != 1 << (c.n - c.k):
+        raise TheoremViolation(f"reached {reached} cosets, expected 2^{c.n - c.k}")
+
+
 def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, CosetTable]:
     """Compute the reduced Groebner basis and coset-leader table.
 
@@ -188,17 +210,11 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
     """
     if order.n != c.n:
         raise ValueError(f"order on {order.n} variables, code length {c.n}")
-    check_coset_budget(c.n, c.k)
-    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
-
     leaders: dict[int, int] = {0: 0}
     binomials: list[Binomial] = []
     violations: list[Binomial] = []
-    frontier = [(0, 0)]  # (leader, syndrome) pairs of the current weight
-    weight = 0
-    while frontier:
-        weight += 1
-        candidates = _candidates(frontier, columns, weight)
+
+    def claim(candidates):
         frontier = []
         for a in sorted(candidates, key=order.sort_key):
             syn = candidates[a]
@@ -211,49 +227,12 @@ def reduced_groebner_basis(c: Code, order: TermOrder) -> tuple[GroebnerBasis, Co
                 binomials.append(binom)
                 if not binom.in_standard_form():
                     violations.append(binom)
+        return frontier
 
-    if len(leaders) != 1 << (c.n - c.k):
-        raise TheoremViolation(
-            f"found {len(leaders)} coset leaders, expected 2^{c.n - c.k}")
+    _grow(c, claim)
     basis = GroebnerBasis(order, c.n, tuple(binomials), tuple(violations))
     table = CosetTable(c.parity, MappingProxyType(leaders))
     return basis, table
-
-
-def minimum_weight_layers(c: Code):
-    """Yield, weight by weight, the candidates of that weight (mask ->
-    syndrome, as _candidates gives them) and the minima so far: syndrome
-    -> the minimum-weight members of that coset found up to this weight.
-
-    Members grow weight by weight like the leaders of
-    reduced_groebner_basis.  Each one-bit-smaller submask of a
-    minimum-weight member is a minimum-weight member of its own coset: a
-    lighter word u there would make u XOR that bit a lighter word of the
-    member's coset.  So the candidates of weight w+1 are the masks whose
-    w submasks of weight w are all members, and a candidate is a member
-    iff no lighter weight has reached its coset; the members of a coset
-    first reached at weight w are all listed once weight w is yielded.
-    The last weight yielded adds no member.  Syndromes are those of
-    CosetTable.  CapExceeded first past COSET_BUDGET cosets.
-    """
-    check_coset_budget(c.n, c.k)
-    columns = [(1 << j, c.parity.column(j)) for j in range(c.n)]
-    minima: dict[int, list[int]] = {0: [0]}
-    frontier = [(0, 0)]  # (member, syndrome) pairs of the current weight
-    weight = 0
-    while frontier:
-        weight += 1
-        candidates = _candidates(frontier, columns, weight)
-        fresh: dict[int, list[int]] = {}
-        for a, syn in candidates.items():
-            if syn not in minima:
-                fresh.setdefault(syn, []).append(a)
-        minima.update(fresh)
-        yield candidates, minima
-        frontier = [(a, syn) for syn, members in fresh.items() for a in members]
-    if len(minima) != 1 << (c.n - c.k):
-        raise TheoremViolation(
-            f"found {len(minima)} cosets, expected 2^{c.n - c.k}")
 
 
 def test_set(g: GroebnerBasis, c: Code) -> tuple[int, ...]:

@@ -1,9 +1,10 @@
 """Matrix-file parsing, Betti-diagram rendering, and result documents.
 
-Matrix files hold one row per line as space-separated 0/1 entries; blank
-lines and lines starting with ``#`` are ignored.  Result documents are
-JSON with a fixed key order so identical runs emit byte-identical output
-(timings live under their own key and are excluded from comparisons).
+Matrix files are UTF-8 text, a leading byte-order mark allowed, with one
+row per line as space-separated 0/1 entries; blank lines and lines
+starting with ``#`` are ignored.  Result documents are JSON with a fixed
+key order so identical runs emit byte-identical output (timings live
+under their own key and are excluded from comparisons).
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ def load_matrix(path: str) -> BinaryMatrix:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        line_no = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise MatrixParseError(line_no, "not UTF-8 text")
     return parse_matrix_text(text)
 

@@ -31,9 +31,9 @@ from ghw import (
     word_from_string,
     word_to_string,
 )
+from ghw import groebner
 from ghw.analysis import check_symmetric_difference_lemma, symmetric_difference_triple
 from ghw.gf2 import kernel_basis
-from ghw.groebner import minimum_weight_layers
 from ghw.codes import ghw_via_resolution
 from ghw.groebner import test_set as extract_testset
 from ghw.resolution import BettiTable
@@ -369,12 +369,12 @@ def per_class_union(c, orders):
 
     The reduced basis depends only on its standard monomials, the coset
     leaders, and every degree-compatible order takes its leaders among the
-    minimum-weight members of each coset (coset_minima).  So a class of
-    orders (a cone of the Groebner fan) is fixed by the member it picks in
-    each tied coset, one with more than one, and that tuple of members is
-    the class's key.  Each class's first order builds the basis, and its
+    minimum-weight members of each coset (minimum_weight_words).  So a
+    class of orders (a cone of the Groebner fan) is fixed by the member it
+    picks in each tied coset, one with more than one, and that tuple of
+    members is the class's key.  Each class's first order builds the basis, and its
     leaders must be the members its key names."""
-    minima = coset_minima(c)
+    minima = minimum_weight_words(c)
     tied = {syn: members for syn, members in minima.items() if len(members) > 1}
     leaders = {syn: members[0] for syn, members in minima.items()}
     classes = {}
@@ -575,21 +575,10 @@ def test_union_all_orders_is_the_union_over_the_deglex_orders(toy63):
         assert union_all_orders(code) == per_order_union(code, deglex)
 
 
-def coset_minima(c):
-    """Syndrome -> every minimum-weight member of that coset, ascending,
-    from the growth of minimum_weight_layers, stopped at the weight that
-    reaches the last coset.  Every degree-compatible order picks its
-    coset leader among these members."""
-    cosets = 1 << (c.n - c.k)
-    for _, minima in minimum_weight_layers(c):
-        if len(minima) == cosets:
-            break
-    return {syn: tuple(sorted(members)) for syn, members in minima.items()}
-
-
 def minimum_weight_words(code):
-    """Syndrome -> every minimum-weight word of that coset, by scanning
-    all 2^n words."""
+    """Syndrome -> every minimum-weight word of that coset, ascending, by
+    scanning all 2^n words.  Every degree-compatible order picks its coset
+    leader among these words."""
     best = {}
     for w in range(1 << code.n):
         syn = code.parity.mul_word(w)
@@ -601,12 +590,29 @@ def minimum_weight_words(code):
     return {syn: tuple(members) for syn, members in best.items()}
 
 
+def grown_minima(c):
+    """Syndrome -> the members groebner._grow reaches, ascending, under a
+    claim that keeps every candidate in a fresh coset."""
+    minima = {0: [0]}
+
+    def claim(candidates):
+        fresh = [(a, syn) for a, syn in candidates.items() if syn not in minima]
+        for a, syn in fresh:
+            minima.setdefault(syn, []).append(a)
+        return fresh
+
+    groebner._grow(c, claim)
+    return {syn: tuple(sorted(members)) for syn, members in minima.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(codes_with_orders())
 def test_coset_minima_are_the_minimum_weight_words_and_hold_every_leader(case):
+    """The growth that keeps every fresh member reaches exactly the
+    minimum-weight words, and each order's leader is the order-least."""
     code, orders = case
-    minima = coset_minima(code)
-    assert minima == minimum_weight_words(code)
+    minima = minimum_weight_words(code)
+    assert grown_minima(code) == minima
     assert len(minima) == 1 << (code.n - code.k)
     for o in orders[::max(1, len(orders) // 5)]:
         _, table = reduced_groebner_basis(code, o)
@@ -617,11 +623,36 @@ def test_coset_minima_are_the_minimum_weight_words_and_hold_every_leader(case):
 
 
 def test_coset_minima_fixtures(toy63, hamming74):
-    assert all(len(m) == 1 for m in coset_minima(hamming74).values())
-    assert coset_minima(make_code(["100", "010", "001"])) == {0: (0,)}
-    toy = coset_minima(toy63)
+    assert all(len(m) == 1 for m in grown_minima(hamming74).values())
+    assert grown_minima(make_code(["100", "010", "001"])) == {0: (0,)}
+    toy = grown_minima(toy63)
     assert len(toy) == 8
     assert sum(len(m) > 1 for m in toy.values()) >= 1
+
+
+@pytest.mark.parametrize("grow", [
+    union_all_orders,
+    lambda code: reduced_groebner_basis(code, TermOrder.default(code.n)),
+], ids=["union_all_orders", "reduced_groebner_basis"])
+def test_growth_that_misses_a_coset_is_a_theorem_violation(grow, monkeypatch):
+    """The code spanned by 110 is zero on coordinate 3.  A growth whose
+    candidates drop the mask 001 (bit 2) never reaches a mask holding it,
+    so it reaches 2 of the 4 cosets, and both growths raise."""
+    code = make_code(["110"])
+    real = groebner._candidates
+    dropped = []
+
+    def without_001(*args):
+        candidates = real(*args)
+        if candidates.pop(0b100, None) is not None:
+            dropped.append(0b100)
+        return candidates
+
+    grow(code)
+    monkeypatch.setattr(groebner, "_candidates", without_001)
+    with pytest.raises(TheoremViolation, match=r"reached 2 cosets, expected 2\^2"):
+        grow(code)
+    assert dropped == [0b100]
 
 
 def test_union_testsets_single_order_is_that_testset(toy63):

@@ -120,6 +120,19 @@ def test_cli_testset_sweep_past_budget_refused(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_search_past_the_sweep_budget_refused(capsys):
+    """A [20,10] search stops at its first evaluated trial: the test-set
+    sweep of that code passes MASK_BUDGET, so the search exits 2 with one
+    line and no document."""
+    rc, out, err = run_cli(capsys, "search", "--n", "20", "--k", "10",
+                           "--trials", "3", "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("ghw: size cap exceeded: Hochster sweep needs at least ")
+    assert "submask visits" in err and "Traceback" not in err
+
+
 def test_cli_ghw_resolution(capsys):
     doc = run_json(capsys, "ghw", TOY, "--route", "resolution")
     assert doc["result"]["ghw"] == [2, 4, 6]
@@ -467,6 +480,23 @@ def test_cli_single_order_commands_refuse_a_repeated_order(capsys, command):
     assert err == f"ghw: --order given 2 times; {command[0]} takes one order\n"
 
 
+@pytest.mark.parametrize("command, first, second, named", [
+    (("search", "--n", "10", "--k", "7", "--trials", "30", "--seed", "1"),
+     "degrevlex", "degrevlex", "degrevlex vars=1,2,3,4,5,6,7,8,9,10"),
+    (("betti", TOY, "--ideal", "union-testsets"),
+     "deglex", "deglex", "deglex vars=1,2,3,4,5,6"),
+    (("betti", TOY, "--ideal", "union-testsets"),
+     "deglex", "deglex:1,2,3,4,5,6", "deglex vars=1,2,3,4,5,6"),
+], ids=["search", "union", "union-two-spellings"])
+def test_cli_listed_orders_refuse_a_repeated_order(capsys, command, first, second, named):
+    """An order listed twice would be counted twice (two flagged entries,
+    order_count 2); it exits 1 naming the order, whatever its spelling."""
+    rc, out, err = run_cli(capsys, *command, "--order", first, "--order", second)
+    assert rc == 1
+    assert out == ""
+    assert err == f"ghw: --order {second} repeats {named}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("gb", WORKED, "--order", "degrevlex", "--vars", "6,5,4,3,2,1"),
     ("ghw", TOY, "--route", "oracle", "--vars", "9,9"),
@@ -640,6 +670,28 @@ def test_cli_matrix_file_not_utf8(tmp_path, capsys, command, end):
     assert "Traceback" not in err
 
 
+def test_cli_matrix_file_with_a_byte_order_mark(tmp_path, capsys):
+    """A leading UTF-8 byte-order mark is dropped: the document is the
+    plain file's, and a bad byte after it keeps its line number.  A mark
+    inside a later line is a bad entry there."""
+    plain = Path(TOY).read_bytes()
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain)
+    docs = [run_json(capsys, "gb", path) for path in (TOY, str(marked))]
+    for doc in docs:
+        doc.pop("timing")
+        doc["params"].pop("matrix")
+    assert docs[0] == docs[1]
+    marked.write_bytes(b"\xef\xbb\xbf" + plain + b"\xff\n")
+    assert run_cli(capsys, "gb", str(marked))[2] == "ghw: line 5: not UTF-8 text\n"
+    first, rest = plain.split(b"\n", 1)
+    marked.write_bytes(first + b"\n\xef\xbb\xbf" + rest)
+    rc, out, err = run_cli(capsys, "gb", str(marked))
+    assert rc == 1
+    assert out == ""
+    assert err == "ghw: line 2: entry '\\ufeff1' is not 0 or 1\n"  # line 2 is 1 0 0 0 0 1
+
+
 def test_cli_search_rejects_injected_length_mismatch(capsys):
     path = str(FIXTURES / "code149.txt")
     rc, out, err = run_cli(capsys, "search", "--n", "6", "--k", "3",
@@ -692,7 +744,7 @@ def test_public_api_resolves(monkeypatch):
         ghw.io: ("parse_betti_diagram",),
         ghw.resolution: ("taylor_pair_minimum", "restricted_faces",
                          "reduced_homology_dims"),
-        ghw.groebner: ("LESS", "EQUAL", "GREATER"),
+        ghw.groebner: ("LESS", "EQUAL", "GREATER", "minimum_weight_layers"),
     }
     for module, names in gone.items():
         for name in names:
