@@ -21,8 +21,7 @@ _EXPORTS = {
     "gf2": ("BinaryMatrix", "kernel_basis", "rref", "word_from_string", "word_to_string"),
     "groebner": ("Binomial", "CosetTable", "GroebnerBasis", "TermOrder", "decode",
                  "normal_form", "reduced_groebner_basis", "test_set"),
-    "analysis": ("SearchReport", "VerificationReport", "WitnessPair", "all_priority_orders",
-                 "counterexample_search", "d2_from_testset", "sample_orders",
+    "analysis": ("SearchReport", "VerificationReport", "WitnessPair", "counterexample_search",
                  "second_weight_witness", "union_all_orders", "union_testsets",
                  "verify_code"),
     "resolution": ("BettiTable", "MonomialIdeal", "betti_table_hochster",

@@ -10,9 +10,7 @@ are observed and reported, never enforced.
 
 from __future__ import annotations
 
-import math
 import random
-from itertools import permutations
 from types import MappingProxyType
 
 from .codes import Code, circuit_betti_table, ghw_hierarchy, minimal_support_codewords
@@ -68,12 +66,6 @@ def second_weight_witness(c: Code, o: TermOrder) -> WitnessPair:
     partners = [w for w in pool if w != m1 and (m1 | w).bit_count() == d2]
     m2 = o.min_word(partners)
     return WitnessPair(m1, m2, o)
-
-
-def d2_from_testset(c: Code, o: TermOrder) -> int:
-    """d_2 as the smallest support-union size over test-set pairs."""
-    basis, _ = reduced_groebner_basis(c, o)
-    return min_pair_union(test_set(basis, c))
 
 
 def symmetric_difference_triple(a: int, b: int) -> tuple[bool, bool, bool]:
@@ -154,8 +146,8 @@ def _verify_orders(c: Code, orders: list[TermOrder], audit: bool = False):
     subcode table.  The basis, the test set and its minimal shifts (and
     pd, their count), and the witness are built per order; under audit
     the shifts are checked against the full audited Betti table of the
-    test-set ideal.  The caller runs the set lemma, which depends on
-    neither.
+    test-set ideal.  The set lemma, which depends on neither, is
+    verify_code's alone.
     """
     for idx, o in enumerate(orders):
         basis, _ = reduced_groebner_basis(c, o)
@@ -269,13 +261,12 @@ def counterexample_search(n: int, k: int, trials: int, seed: int,
     Each trial draws its own generator from (seed, index), so results do
     not depend on evaluation schedule.  Each evaluated code is verified
     under every order, its per-code facts built once; the set lemma,
-    which does not depend on the code, runs once per search.  CapExceeded,
-    before any trial, past groebner.COSET_BUDGET cosets.
+    which does not depend on the code, is left to verify_code.
+    CapExceeded, before any trial, past groebner.COSET_BUDGET cosets.
     """
     check_coset_budget(n, k)
     if not orders:
         orders = [TermOrder.default(n)]
-    check_symmetric_difference_lemma(n, 20, seed=seed)
     evaluated = skipped_rank_deficient = skipped_degenerate = exactness_i3_failures = 0
     flagged: list[MappingProxyType] = []
 
@@ -372,29 +363,3 @@ def union_all_orders(c: Code) -> MonomialIdeal:
 
     _grow(c, claim)
     return ideal_from_supports(c.n, union)
-
-
-def all_priority_orders(n: int):
-    """Every deglex and degrevlex order over all priority permutations."""
-    for kind in ("deglex", "degrevlex"):
-        for perm in permutations(range(n)):
-            yield TermOrder(kind, perm)
-
-
-def sample_orders(n: int, count: int, seed: int) -> list[TermOrder]:
-    """Deterministic sample of distinct degree-compatible orders (2 * n! at most)."""
-    count = min(count, 2 * math.factorial(n))
-    rng = random.Random(seed)
-    out: list[TermOrder] = []
-    seen = set()
-    attempts = 0
-    while len(out) < count and attempts < 50 * count + 100:
-        attempts += 1
-        kind = rng.choice(("deglex", "degrevlex"))
-        perm = list(range(n))
-        rng.shuffle(perm)
-        order = TermOrder(kind, tuple(perm))
-        if (kind, order.priority) not in seen:
-            seen.add((kind, order.priority))
-            out.append(order)
-    return out

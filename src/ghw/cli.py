@@ -164,7 +164,8 @@ def _cmd_ghw(args) -> tuple[dict, dict | None, dict]:
 def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     from .codes import circuit_betti_table, minimal_support_codewords
     from .gf2 import word_to_string
-    from .resolution import betti_table_hochster, ideal_from_supports, min_shift_sequence
+    from .resolution import (MonomialIdeal, betti_table_hochster, ideal_from_supports,
+                             min_shift_sequence)
 
     if args.ideal != "union-testsets" and args.all_orders:
         raise GhwError("--all-orders needs --ideal union-testsets")
@@ -175,9 +176,8 @@ def _cmd_betti(args) -> tuple[dict, dict | None, dict]:
     code = _load_code(args.matrix)
     params = {"matrix": args.matrix, "ideal": args.ideal}
     result: dict = {"ideal": args.ideal}
-    if args.ideal == "stanley-reisner":
-        gens = minimal_support_codewords(code)
-        ideal = ideal_from_supports(code.n, gens)
+    if args.ideal == "stanley-reisner":  # already minimal and sorted
+        ideal = MonomialIdeal(code.n, minimal_support_codewords(code))
     elif args.ideal == "testset":
         from .groebner import reduced_groebner_basis, test_set
 
@@ -277,6 +277,7 @@ def _cmd_verify(args) -> tuple[dict, dict | None, dict]:
 
 def _cmd_search(args) -> tuple[dict, dict | None, dict]:
     from .analysis import counterexample_search
+    from .gf2 import rref
 
     if args.n > SIZE_CAP:
         raise CapExceeded(f"--n {args.n} exceeds cap {SIZE_CAP}")
@@ -287,6 +288,9 @@ def _cmd_search(args) -> tuple[dict, dict | None, dict]:
     for path, matrix in zip(args.inject or (), inject):
         if matrix.ncols != args.n:
             raise GhwError(f"--inject {path}: length {matrix.ncols} != --n {args.n}")
+        rank = rref(matrix)[1]
+        if rank != args.k:
+            raise GhwError(f"--inject {path}: dimension {rank} != --k {args.k}")
     params = {"n": args.n, "k": args.k, "trials": args.trials,
               "seed": args.seed,
               "orders": [_order_params(o) for o in orders],

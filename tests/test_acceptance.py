@@ -20,12 +20,13 @@ from ghw import (
     word_from_string,
     word_to_string,
 )
-from ghw.analysis import all_priority_orders, check_symmetric_difference_lemma, sample_orders
+from ghw.analysis import check_symmetric_difference_lemma
 from ghw.codes import Code
 from ghw.gf2 import BinaryMatrix
 from ghw.groebner import test_set as extract_testset
 
 import known_codes as kc
+from orders import all_priority_orders, sample_orders
 
 
 class Timer:
@@ -175,7 +176,8 @@ def test_acceptance_5_hamming_union(hamming74):
 
 def test_acceptance_6_worked63_witnesses(worked63):
     with Timer() as t:
-        from ghw import d2_from_testset, second_weight_witness
+        from ghw import second_weight_witness
+        from orders import d2_from_testset
 
         order1 = TermOrder.default(6)  # x6 lowest priority
         order2 = TermOrder("degrevlex", tuple(reversed(range(6))))

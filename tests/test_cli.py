@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import random
@@ -702,6 +703,19 @@ def test_cli_search_rejects_injected_length_mismatch(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("rows, k, rank", [
+    (["1 0 0 0 0 1", "0 1 1 0 1 0"], 3, 2),  # a full-rank [6,2] code, not rank-deficient
+    (["1 0 0 0 0 1", "0 1 1 0 1 0", "0 0 0 1 1 1"], 2, 3)])  # toy [6,3] in a k = 2 search
+def test_cli_search_rejects_injected_dimension_mismatch(tmp_path, capsys, rows, k, rank):
+    path = tmp_path / "inject.txt"
+    path.write_text("\n".join(rows) + "\n")
+    rc, out, err = run_cli(capsys, "search", "--n", "6", "--k", str(k),
+                           "--trials", "0", "--inject", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == f"ghw: --inject {path}: dimension {rank} != --k {k}\n"
+
+
 def test_cli_readme_examples(monkeypatch, capsys):
     """Every `$ ghw ...` line of the README runs from the repository root
     and exits 0, and prints the display its comment quotes."""
@@ -720,6 +734,34 @@ def test_cli_readme_examples(monkeypatch, capsys):
             assert json.loads(out)["result"]["display"] == quoted.group(1), example
             displays += 1
     assert len(examples) >= 8 and displays >= 2
+
+
+def test_readme_library_example():
+    """The README's library block runs as written, and every value a
+    comment quotes first is what its line gives: the value of an
+    expression, the length of an assignment's target, or the length of
+    an `N bytes` view."""
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(block, namespace)
+    checked = 0
+    for line in block.splitlines():
+        code, _, comment = (part.strip() for part in line.partition("#"))
+        value = re.match(r"\(\d+(?:, \d+)*\)|\d+", comment)
+        size = re.search(r"(\d+) bytes", comment)
+        if not code or not (value or size):
+            continue
+        target, assigned, _ = code.partition(" = ")
+        if size:
+            assert len(eval(code, namespace)) == int(size.group(1)), line
+        elif assigned:
+            assert len(namespace[target]) == int(value.group()), line
+        else:
+            assert eval(code, namespace) == ast.literal_eval(value.group()), line
+        checked += 1
+    assert checked == 8
 
 
 def test_public_api_resolves(monkeypatch):
@@ -745,6 +787,7 @@ def test_public_api_resolves(monkeypatch):
         ghw.resolution: ("taylor_pair_minimum", "restricted_faces",
                          "reduced_homology_dims"),
         ghw.groebner: ("LESS", "EQUAL", "GREATER", "minimum_weight_layers"),
+        ghw.analysis: ("all_priority_orders", "sample_orders", "d2_from_testset"),
     }
     for module, names in gone.items():
         for name in names:
